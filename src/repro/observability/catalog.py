@@ -118,13 +118,14 @@ METRICS = (
     ),
     MetricSpec(
         "spc_cluster_batch_size", "histogram", (),
-        "Pair requests coalesced into one worker round-trip — how much "
-        "amortisation the batch window actually bought.",
+        "Pairs per PAIRS worker round-trip, bulk (submit_many) or "
+        "coalesced by the batch window — how much amortisation each "
+        "round-trip bought.",
     ),
     MetricSpec(
         "spc_cluster_batches_total", "counter", ("shard",),
-        "Worker batches completed (pair batches and scatter subs), "
-        "labelled by shard.",
+        "PAIRS worker round-trips completed, bulk or coalesced, "
+        "labelled by the serving worker's shard.",
     ),
     MetricSpec(
         "spc_cluster_degraded_requests_total", "counter", ("shard",),

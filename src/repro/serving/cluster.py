@@ -17,6 +17,15 @@ pair requests destined for the same shard are coalesced (up to
 hop and one vectorized kernel over the whole batch instead of paying a
 python merge-join per query.
 
+Every worker round-trip is one sub-request of a job. A scatter-gather
+call (``submit_many``, ``single_source``, ``set_to_set``, the stats
+probe) is a job with one sub per shard; a flushed coalescing buffer is
+sealed into a job with a single ``PAIRS`` sub whose resolution fans out
+to each member's own future, deadline and admission slot. From there on
+all work shares one queue per shard, one flight record, one reply
+handler, and the same replay, hedge, peer-adoption, BFS-offload and
+shutdown paths.
+
 Sharding is routing, not partitioning — every worker maps the full
 arena, and the :class:`~repro.serving.shards.ShardPlan` decides which
 worker pool answers which vertex range. ``single_source`` scatters one
@@ -71,11 +80,9 @@ from concurrent.futures import Future, InvalidStateError
 import numpy as np
 
 from repro.exceptions import (
-    CircuitOpenError,
     DeadlineExceeded,
     ReproError,
     SerializationError,
-    ServiceOverloaded,
     VertexError,
 )
 from repro.io.flat_store import read_flat_meta
@@ -85,7 +92,7 @@ from repro.query.ast import PAIR_OPS, Batch, Count, SetToSet, SingleSource
 from repro.query.backends import normalize_pair, normalize_single_source
 from repro.query.engine import QueryEngine
 from repro.serving import protocol
-from repro.serving.admission import DEFAULT_RETRY_AFTER_CAP, AdmissionQueue
+from repro.serving.admission import AdmissionQueue
 from repro.serving.breaker import CircuitBreaker
 from repro.serving.deadline import Deadline
 from repro.serving.reload import IndexWatcher
@@ -98,6 +105,7 @@ from repro.serving.service import (
     SERVED_INDEX,
     SHED,
     QueryResult,
+    status_of,
 )
 from repro.serving.shards import ShardPlan
 
@@ -113,6 +121,19 @@ DEAD = "dead"
 
 #: Whole-gather retries allowed when replies straddle a generation swap.
 GATHER_RETRY_LIMIT = 3
+
+#: Seconds to wait for every worker's HELLO at start-up; also the stall
+#: allowance for a respawning worker's HELLO.
+START_TIMEOUT = 60.0
+
+#: Auto hedging fires once a sub-request has waited HEDGE_MULTIPLIER x
+#: its shard's observed p95 latency, and never sooner than HEDGE_FLOOR
+#: seconds.
+HEDGE_MULTIPLIER = 4.0
+HEDGE_FLOOR = 0.01
+
+#: BFS engine behind the optional ``graph=`` fallback oracle.
+FALLBACK_ENGINE = "csr"
 
 _ERR_STATUS = {
     protocol.ERR_DEADLINE: DEADLINE,
@@ -131,7 +152,7 @@ def _err_exception(kind, message):
 
 def _deadline_error(deadline):
     """A :class:`DeadlineExceeded` carrying the request's real budget."""
-    if deadline is None:  # pragma: no cover - defensive
+    if deadline is None:
         return DeadlineExceeded(0.0, 0.0)
     return DeadlineExceeded(deadline.budget, deadline.elapsed())
 
@@ -279,33 +300,31 @@ class _Worker:
 
 
 class _Flight:
-    """One in-flight worker round-trip the router is waiting on.
+    """One in-flight worker round-trip: sub ``key`` of ``job``.
 
     ``twin`` links the two legs of a hedged request (by batch id);
     ``cancelled`` marks the losing leg once the other resolved — its
     reply is discarded on arrival, so duplicates never double-resolve.
-    ``home_shard`` is the shard the work *belongs* to (``None`` for
-    pinned stats probes), which may differ from the serving worker's
-    shard under peer adoption — ``degraded`` then carries the
-    annotation for the terminal :class:`QueryResult`.
+    ``home_shard`` is the shard the work *belongs* to (the serving
+    worker's own shard for pinned stats probes), which may differ from
+    the serving worker's shard under peer adoption — ``degraded`` then
+    carries the annotation for the terminal :class:`QueryResult`.
     """
 
-    __slots__ = ("kind", "batch_id", "worker", "home_shard", "message",
-                 "sent_at", "budget", "members", "job", "key",
-                 "twin", "is_hedge", "cancelled", "degraded")
+    __slots__ = ("batch_id", "worker", "home_shard", "message", "sent_at",
+                 "budget", "job", "key", "twin", "is_hedge", "cancelled",
+                 "degraded")
 
-    def __init__(self, kind, batch_id, worker, home_shard, message, sent_at,
-                 budget):
-        self.kind = kind
+    def __init__(self, batch_id, worker, home_shard, message, sent_at,
+                 budget, job, key):
         self.batch_id = batch_id
         self.worker = worker
         self.home_shard = home_shard
         self.message = message
         self.sent_at = sent_at
         self.budget = budget
-        self.members = None
-        self.job = None
-        self.key = None
+        self.job = job
+        self.key = key
         self.twin = None
         self.is_hedge = False
         self.cancelled = False
@@ -325,16 +344,23 @@ class _PairRequest:
         self.started = started
         self.enqueued = started
         self.future = future
-        # Terminal guard: hedged twins and death-replays can hand the
-        # same request to two finishers; only the first one counts.
+        # Terminal guard: the wedged-router last resort in close() can
+        # race the router for the same request; only the first counts.
         self.done = False
 
 
 class _Job:
-    """A scatter-gather job: sub-requests per shard, merged on completion."""
+    """One unit of router work: a sub-request per shard (or per pinned
+    worker), each one worker round-trip, merged on completion.
+
+    ``admitted`` jobs hold one admission slot and count as one request;
+    ``weight`` is the number of admitted requests the job answers (for
+    the ``degraded_requests`` counter).
+    """
 
     requires_uniform = True
     admitted = True
+    weight = 1
 
     def __init__(self, future, deadline, started):
         self.future = future
@@ -350,6 +376,15 @@ class _Job:
     def keys(self):
         """Sub-request keys, each dispatched to one worker."""
         return list(self.subs)
+
+    def shard_for(self, key):
+        """The shard pool that must answer sub ``key``."""
+        return key
+
+    def budget(self):
+        """Deadline budget for the next dispatch: seconds, or ``None``
+        for unlimited; ``<= 0`` means the job has expired."""
+        return None if self.deadline is None else self.deadline.remaining()
 
     def register_reply(self, key, generation, payload):
         """Record one sub reply; classify the gather's next move.
@@ -390,6 +425,91 @@ class _Job:
         ))
 
 
+class _CoalescedPairs(_Job):
+    """A flushed coalescing buffer: buffered ``submit`` requests sealed
+    into one ``PAIRS`` sub on their home shard.
+
+    The job itself is not admitted — each member already holds its own
+    admission slot, deadline and future, and ``finish`` (the router's
+    per-request finisher) releases them one by one. :meth:`budget` drops
+    members whose deadline expired while queued, and :meth:`resolve`
+    fans the batch outcome out to the rest: an answer that lands after a
+    member's deadline is that member's ``DEADLINE``, with its own budget.
+    """
+
+    admitted = False
+
+    def __init__(self, finish, shard, members):
+        super().__init__(None, None, 0.0)
+        self._finish = finish
+        self.members = members
+        self.subs[shard] = None
+
+    @property
+    def weight(self):
+        """Every member is one admitted request."""
+        return len(self.members)
+
+    def budget(self):
+        """Expire overdue members; the widest live budget, or ``None``."""
+        live = []
+        budget = 0.0
+        unlimited = False
+        for request in self.members:
+            deadline = request.deadline
+            if deadline is None:
+                unlimited = True
+            else:
+                remaining = deadline.remaining()
+                if remaining <= 0:
+                    self._finish(request, DEADLINE,
+                                 error=_deadline_error(deadline))
+                    continue
+                budget = max(budget, remaining)
+            live.append(request)
+        self.members = live
+        return None if unlimited else budget
+
+    def message(self, key, batch_id, budget):
+        """Wire message for the batch's one sub."""
+        return (protocol.PAIRS, batch_id, [r.s for r in self.members],
+                [r.t for r in self.members], budget)
+
+    def merge(self, payloads):
+        """The one sub's answers, aligned with ``members``."""
+        answers, = payloads.values()
+        return answers
+
+    def fallback(self, resilient):
+        """Per-member BFS answers; a failed member holds its error."""
+        answers = []
+        for request in self.members:
+            try:
+                answers.append(resilient.count_with_distance(
+                    request.s, request.t, deadline=request.deadline))
+            except ReproError as exc:
+                answers.append(exc)
+        return answers
+
+    def resolve(self, status, answer, error, generation, elapsed,
+                degraded=()):
+        """Fan the batch outcome out to every member's own future."""
+        ok = status in (SERVED_INDEX, SERVED_DEGRADED)
+        for i, request in enumerate(self.members):
+            deadline = request.deadline
+            got = answer[i] if ok else None
+            member_status, member_error = status, error
+            if isinstance(got, ReproError):
+                member_status, member_error, got = status_of(got), got, None
+            elif status == DEADLINE or (ok and deadline is not None
+                                        and deadline.remaining() <= 0):
+                member_status, got = DEADLINE, None
+                member_error = _deadline_error(deadline)
+            self._finish(request, member_status, answer=got,
+                         error=member_error, generation=generation,
+                         degraded=degraded)
+
+
 class _SingleSourceJob(_Job):
     """``single_source`` scattered as one contiguous range per shard."""
 
@@ -404,10 +524,6 @@ class _SingleSourceJob(_Job):
             # Hash shards own no contiguous id range: run the full sweep
             # on the source's home shard instead of scattering.
             self.subs[plan.shard_of(s)] = (0, plan.n)
-
-    def shard_for(self, key):
-        """The shard pool that must answer sub ``key``."""
-        return key
 
     def message(self, key, batch_id, budget):
         """Wire message for sub ``key``."""
@@ -436,10 +552,6 @@ class _SetToSetJob(_Job):
         for shard, targets in enumerate(buckets):
             if targets:
                 self.subs[shard] = targets
-
-    def shard_for(self, key):
-        """The shard pool that must answer sub ``key``."""
-        return key
 
     def message(self, key, batch_id, budget):
         """Wire message for sub ``key``."""
@@ -484,10 +596,6 @@ class _PairBatchJob(_Job):
                 self.subs[shard] = (sources[pos].tolist(),
                                     targets[pos].tolist())
                 self._positions[shard] = pos.tolist()
-
-    def shard_for(self, key):
-        """The shard pool that must answer sub ``key``."""
-        return key
 
     def message(self, key, batch_id, budget):
         """Wire message for sub ``key``."""
@@ -584,8 +692,8 @@ class _MetricHandles:
 class _DegradedExecutor(threading.Thread):
     """BFS-fallback worker thread for shards with no live process.
 
-    The router hands it stranded work (whole jobs, or one shard's pair
-    batch); it executes against the cluster's
+    The router hands it stranded jobs; it executes them against the
+    cluster's
     :class:`~repro.resilience.ResilientSPCIndex` and posts the outcome
     back through the router inbox, so terminal resolution stays
     single-threaded in the router. Answers are exact (online BFS on the
@@ -600,10 +708,10 @@ class _DegradedExecutor(threading.Thread):
         self._cond = threading.Condition()
         self._stopped = False
 
-    def submit(self, item):
-        """Queue one stranded work item (router thread only)."""
+    def submit(self, job):
+        """Queue one stranded job (router thread only)."""
         with self._cond:
-            self._items.append(item)
+            self._items.append(job)
             self._cond.notify()
 
     def close(self):
@@ -619,30 +727,14 @@ class _DegradedExecutor(threading.Thread):
                     self._cond.wait()
                 if not self._items and self._stopped:
                     return
-                item = self._items.popleft()
-            if item[0] == "pairs":
-                outcome = [self._one(lambda r=request: (
-                    self._service._fallback.count_with_distance(
-                        r.s, r.t, deadline=r.deadline)))
-                    for request in item[2]]
-            else:
-                job = item[1]
-                outcome = self._one(
-                    lambda: job.fallback(self._service._fallback))
-            self._service._inbox.append(("degraded_done", (item, outcome)))
+                job = self._items.popleft()
+            try:
+                outcome = (SERVED_DEGRADED,
+                           job.fallback(self._service._fallback), None)
+            except ReproError as exc:
+                outcome = (status_of(exc), None, exc)
+            self._service._inbox.append(("degraded_done", (job, outcome)))
             self._service._wake()
-
-    @staticmethod
-    def _one(work):
-        """One fallback call mapped onto a (status, answer, error) triple."""
-        try:
-            return (SERVED_DEGRADED, work(), None)
-        except DeadlineExceeded as exc:
-            return (DEADLINE, None, exc)
-        except VertexError as exc:
-            return (INVALID, None, exc)
-        except ReproError as exc:
-            return (ERROR, None, exc)
 
 
 class ClusterService:
@@ -663,28 +755,20 @@ class ClusterService:
         Router-side coalescing: a shard batch is flushed when it holds
         ``max_batch`` pair requests or its oldest member has waited
         ``batch_window`` seconds.
-    capacity / queue_limit / retry_after_cap:
+    capacity / queue_limit:
         Admission control (see
         :class:`~repro.serving.admission.AdmissionQueue`); the router
         admits up to ``capacity + queue_limit`` outstanding requests and
         sheds the rest with a capped retry-after hint.
     default_deadline:
         Per-request budget in seconds when the caller gives none.
-    breaker / failure_threshold / reset_timeout:
+    failure_threshold / reset_timeout:
         Circuit breaker over worker failures (a worker death or a
         corrupt-arena error trips it; request-level deadline and vertex
         errors do not).
     reload_check_every:
         Poll the index file signature every N admissions (0 disables
         polling; :meth:`check_reload` stays available).
-    verify:
-        Forwarded to :func:`~repro.io.flat_store.open_shared` (CRC
-        checks on map).
-    start_timeout:
-        Seconds to wait for every worker's HELLO before giving up (also
-        the stall allowance for a respawning worker's HELLO).
-    clock:
-        Monotonic clock, injectable for deterministic tests.
     graph:
         Optional logical :class:`~repro.graph.graph.Graph` behind the
         arena. When given, a BFS fallback
@@ -692,13 +776,10 @@ class ClusterService:
         for shards that have *no* live worker — results come back
         ``SERVED_DEGRADED`` with a ``degraded_shards`` annotation
         instead of failing. Without it, stranded work waits for the
-        respawn (or fails when none is coming).
-    fallback_engine:
-        BFS engine for the fallback oracle (``"csr"`` default).
-    peer_degraded:
-        When True (default), idle workers of healthy shards adopt the
-        queued work of a down/respawning shard — exact answers from the
-        same arena, annotated with the degraded home shard.
+        respawn (or fails when none is coming). Either way, idle workers
+        of healthy shards first adopt the queued work of a down or
+        respawning shard — exact answers from the same arena, annotated
+        with the degraded home shard.
     respawn / respawn_backoff / respawn_backoff_max:
         Supervision: a dead worker is respawned after ``respawn_backoff``
         seconds, doubling per consecutive failure up to
@@ -712,11 +793,12 @@ class ClusterService:
         overrunning its budget by ``stall_timeout``, declares the worker
         stalled: it is SIGKILLed and respawned. Batches with no deadline
         are exempt from stall kills (a long exact scan is not a stall).
-    hedge_delay / hedge_multiplier / hedge_floor:
+    hedge_delay:
         Tail hedging. ``"auto"`` (default) duplicates a sub-request to
-        an idle sibling once it has waited ``hedge_multiplier`` × the
-        shard's observed p95 latency (at least ``hedge_floor`` seconds,
-        needs 16 samples); a float pins the delay; ``None`` disables.
+        an idle sibling once it has waited :data:`HEDGE_MULTIPLIER` ×
+        the shard's observed p95 latency (at least :data:`HEDGE_FLOOR`
+        seconds, needs 16 samples); a float pins the delay; ``None``
+        disables.
         The first generation-consistent answer wins, the loser is
         discarded on arrival — hedges never double-resolve and never
         let two index generations into one gather.
@@ -724,15 +806,11 @@ class ClusterService:
 
     def __init__(self, index_path, *, workers=2, shards=1, strategy="range",
                  batch_window=0.002, max_batch=64, capacity=64,
-                 queue_limit=256, retry_after_cap=DEFAULT_RETRY_AFTER_CAP,
-                 default_deadline=None, breaker=None, failure_threshold=5,
-                 reset_timeout=1.0, reload_check_every=64, verify=True,
-                 start_timeout=60.0, clock=time.monotonic,
-                 graph=None, fallback_engine="csr", peer_degraded=True,
+                 queue_limit=256, default_deadline=None, failure_threshold=5,
+                 reset_timeout=1.0, reload_check_every=64, graph=None,
                  respawn=True, respawn_backoff=0.05, respawn_backoff_max=2.0,
                  heartbeat_interval=0.5, stall_timeout=2.0,
-                 hedge_delay="auto", hedge_multiplier=4.0, hedge_floor=0.01,
-                 _fault=None):
+                 hedge_delay="auto", _fault=None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if shards < 1 or shards > workers:
@@ -767,14 +845,9 @@ class ClusterService:
         self.max_batch = max_batch
         self.batch_window = batch_window
         self.default_deadline = default_deadline
-        self._clock = clock
-        self._admission = AdmissionQueue(capacity, queue_limit,
-                                         retry_after_cap=retry_after_cap,
-                                         clock=clock)
-        if breaker is None:
-            breaker = CircuitBreaker(failure_threshold=failure_threshold,
-                                     reset_timeout=reset_timeout, clock=clock)
-        self.breaker = breaker
+        self._admission = AdmissionQueue(capacity, queue_limit)
+        self.breaker = CircuitBreaker(failure_threshold=failure_threshold,
+                                      reset_timeout=reset_timeout)
         self._watcher = IndexWatcher(self.index_path)
         self._reload_check_every = reload_check_every
         self._target_generation = 0
@@ -801,21 +874,17 @@ class ClusterService:
         self._start_error = None
         self._failed = False
         self._ready = threading.Event()
-        self._verify = verify
+        self._stop_now = False
         self._fault = _fault
-        self._start_timeout = start_timeout
         self._respawn = respawn
         self._respawn_backoff = respawn_backoff
         self._respawn_backoff_max = respawn_backoff_max
         self._heartbeat_interval = heartbeat_interval
         self._stall_timeout = stall_timeout
         self._hedge_delay = hedge_delay
-        self._hedge_multiplier = hedge_multiplier
-        self._hedge_floor = hedge_floor
-        self._peer_degraded = peer_degraded
         self._latency = [collections.deque(maxlen=64)
                          for _ in range(self.plan.shards)]
-        self._fallback_inflight = 0
+        self._offloaded = set()
         self._reaped = []
         self._fallback = None
         self._executor = None
@@ -827,7 +896,7 @@ class ClusterService:
             from repro.resilience import ResilientSPCIndex
 
             self._fallback = ResilientSPCIndex(graph,
-                                               bfs_engine=fallback_engine)
+                                               bfs_engine=FALLBACK_ENGINE)
             self._executor = _DegradedExecutor(self)
             self._executor.start()
         self._selector = selectors.DefaultSelector()
@@ -848,10 +917,10 @@ class ClusterService:
                                         name="spc-cluster-router",
                                         daemon=True)
         self._router.start()
-        if not self._ready.wait(start_timeout):
+        if not self._ready.wait(START_TIMEOUT):
             self.close()
             raise SerializationError(
-                f"cluster workers did not come up within {start_timeout}s")
+                f"cluster workers did not come up within {START_TIMEOUT}s")
         if self._start_error is not None:
             error = self._start_error
             self.close()
@@ -875,8 +944,7 @@ class ClusterService:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         process = ctx.Process(
             target=worker_entry,
-            args=(child_conn, self.index_path, generation, self._verify,
-                  self._fault),
+            args=(child_conn, self.index_path, generation, self._fault),
             name=f"spc-cluster-worker-{worker.index}", daemon=True,
         )
         process.start()
@@ -892,7 +960,7 @@ class ClusterService:
         worker.state = STARTING
         worker.gone = False
         worker.pinned.clear()
-        worker.spawned_at = self._clock()
+        worker.spawned_at = time.monotonic()
         worker.last_seen = worker.spawned_at
         worker.ping_sent_at = None
         worker.busy_since = None
@@ -935,44 +1003,15 @@ class ClusterService:
         :meth:`SPCService.submit <repro.serving.service.SPCService.submit>`
         but without blocking the caller.
         """
-        started = self._clock()
-        future = Future()
-        self._bump("requests")
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.requests.inc()
-        if self._closed or self._closing or self._failed:
-            return self._reject(future, started, ERROR,
-                                ReproError("cluster is closed"))
         try:
-            s = int(s)
-            t = int(t)
-            if not (0 <= s < self.n):
-                raise VertexError(s, self.n)
-            if not (0 <= t < self.n):
-                raise VertexError(t, self.n)
+            s, t = int(s), int(t)
         except (TypeError, ValueError):
-            return self._reject(future, started, INVALID,
-                                ReproError(f"bad vertex pair ({s!r}, {t!r})"))
-        except VertexError as exc:
-            return self._reject(future, started, INVALID, exc)
-        deadline = self._deadline(timeout)
-        try:
-            self.breaker.before_call()
-        except CircuitOpenError as exc:
-            return self._reject(future, started, CIRCUIT_OPEN, exc)
-        try:
-            ordinal = self._admission.offer()
-        except ServiceOverloaded as exc:
-            return self._reject(future, started, SHED, exc)
-        self._observe_admission()
-        request = _PairRequest(s, t, deadline, started, future)
-        self._inbox.append(("pair", request))
-        self._wake()
-        if (self._reload_check_every
-                and ordinal % self._reload_check_every == 0):
-            self.check_reload()
-        return future
+            return self._admit((), None, timeout, invalid=ReproError(
+                f"bad vertex pair ({s!r}, {t!r})"))
+        return self._admit(
+            (s, t), lambda future, deadline, started: (
+                "pair", _PairRequest(s, t, deadline, started, future)),
+            timeout)
 
     def submit(self, s, t, timeout=None):
         """Blocking :meth:`submit_nowait`: always a terminal result."""
@@ -997,12 +1036,12 @@ class ClusterService:
         """
         pairs = list(pairs)
         if not pairs:
-            started = self._clock()
+            started = time.monotonic()
             self._bump("requests")
             future = Future()
             self._bump(SERVED_INDEX)
             future.set_result(QueryResult(
-                SERVED_INDEX, answer=[], elapsed=self._clock() - started,
+                SERVED_INDEX, answer=[], elapsed=time.monotonic() - started,
                 generation=self.generation))
             return future
         try:
@@ -1011,25 +1050,15 @@ class ClusterService:
             targets = np.fromiter((p[1] for p in pairs), dtype=np.int64,
                                   count=len(pairs))
         except (TypeError, ValueError):
-            future = Future()
-            self._bump("requests")
-            return self._reject(future, self._clock(), INVALID,
-                                ReproError("pairs must be (int, int) tuples"))
-        bad = None
-        if int(sources.min()) < 0 or int(sources.max()) >= self.n:
-            bad = sources
-        elif int(targets.min()) < 0 or int(targets.max()) >= self.n:
-            bad = targets
-        if bad is not None:
-            offender = int(bad[(bad < 0) | (bad >= self.n)][0])
-            future = Future()
-            self._bump("requests")
-            return self._reject(future, self._clock(), INVALID,
-                                VertexError(offender, self.n))
-        return self._submit_job(
-            lambda future, deadline, started: _PairBatchJob(
-                future, deadline, started, sources, targets, self.plan),
-            validate=(), timeout=timeout)
+            return self._admit((), None, timeout, invalid=ReproError(
+                "pairs must be (int, int) tuples"))
+        values = np.concatenate((sources, targets))
+        outside = values[(values < 0) | (values >= self.n)]
+        return self._admit(
+            outside[:1].tolist(), lambda future, deadline, started: (
+                "job", _PairBatchJob(future, deadline, started, sources,
+                                     targets, self.plan)),
+            timeout)
 
     def submit_many(self, pairs, timeout=None):
         """Blocking :meth:`submit_many_nowait`: always a terminal result."""
@@ -1043,10 +1072,12 @@ class ClusterService:
         shard. Returns a :class:`QueryResult` whose ``answer`` is the
         ``(dist, count)`` array pair.
         """
-        return self._submit_job(
-            lambda future, deadline, started: _SingleSourceJob(
-                future, deadline, started, int(s), self.plan),
-            validate=[s], timeout=timeout).result()
+        s = int(s)
+        return self._admit(
+            (s,), lambda future, deadline, started: (
+                "job", _SingleSourceJob(future, deadline, started, s,
+                                        self.plan)),
+            timeout).result()
 
     def set_to_set(self, sources, targets, timeout=None):
         """Scatter-gather ``(sd(S, T), spc(S, T))`` over target shards."""
@@ -1060,10 +1091,11 @@ class ClusterService:
             future.set_result(result)
             return future.result()
         buckets = self.plan.split_targets(targets)
-        return self._submit_job(
-            lambda future, deadline, started: _SetToSetJob(
-                future, deadline, started, sources, buckets),
-            validate=sources + targets, timeout=timeout).result()
+        return self._admit(
+            sources + targets, lambda future, deadline, started: (
+                "job", _SetToSetJob(future, deadline, started, sources,
+                                    buckets)),
+            timeout).result()
 
     def submit_query(self, node, timeout=None):
         """Run a compiled query AST node against the cluster.
@@ -1118,78 +1150,73 @@ class ClusterService:
         was served degraded, and the first failed sub-request terminates
         the composite with that sub-request's status.
         """
-        started = self._clock()
+        started = time.monotonic()
         adapter = _ClusterOracle(self, deadline)
         engine = QueryEngine(oracle=adapter, n=self.n, cache=None)
         try:
             answer = engine.run(node, deadline=deadline)
-        except ServiceOverloaded as exc:
-            result = QueryResult(SHED, error=exc)
-        except CircuitOpenError as exc:
-            result = QueryResult(CIRCUIT_OPEN, error=exc)
-        except DeadlineExceeded as exc:
-            result = QueryResult(DEADLINE, error=exc)
-        except VertexError as exc:
-            result = QueryResult(INVALID, error=exc)
         except ReproError as exc:
-            result = QueryResult(ERROR, error=exc)
+            result = QueryResult(status_of(exc), error=exc)
         else:
             status = SERVED_DEGRADED if adapter.degraded else SERVED_INDEX
             result = QueryResult(status, answer=answer,
                                  degraded_shards=adapter.degraded_shards)
-        result.elapsed = self._clock() - started
+        result.elapsed = time.monotonic() - started
         result.generation = self.generation
         return result
 
-    def _submit_job(self, factory, validate, timeout):
-        """Common admission/validation path for scatter-gather jobs.
+    def _admit(self, vertices, build, timeout, invalid=None):
+        """The one front door every admitted request passes through.
 
-        Returns the future; blocking entry points call ``.result()`` on
-        it, :meth:`submit_many_nowait` hands it straight to the caller.
+        Counts the request, then either resolves its future at once — a
+        closed cluster, an ``invalid`` input the caller already found, a
+        vertex outside ``[0, n)``, an open breaker, a full admission
+        queue — or hands the router the inbox item ``build(future,
+        deadline, started)`` returns. Returns the future.
         """
-        started = self._clock()
+        started = time.monotonic()
         future = Future()
         self._bump("requests")
         metrics = self._metrics
         if metrics is not None:
             metrics.requests.inc()
-        if self._closed or self._closing or self._failed:
-            return self._reject(future, started, ERROR,
-                                ReproError("cluster is closed"))
-        for v in validate:
-            v = int(v)
-            if not (0 <= v < self.n):
-                return self._reject(future, started, INVALID,
-                                    VertexError(v, self.n))
-        deadline = self._deadline(timeout)
         try:
+            if self._closed or self._closing or self._failed:
+                raise ReproError("cluster is closed")
+            if invalid is not None:
+                return self._reject(future, started, invalid, INVALID)
+            for v in vertices:
+                if not 0 <= v < self.n:
+                    raise VertexError(v, self.n)
+            deadline = self._deadline(timeout)
             self.breaker.before_call()
-        except CircuitOpenError as exc:
-            return self._reject(future, started, CIRCUIT_OPEN, exc)
-        try:
-            self._admission.offer()
-        except ServiceOverloaded as exc:
-            return self._reject(future, started, SHED, exc)
+            ordinal = self._admission.offer()
+        except ReproError as exc:
+            return self._reject(future, started, exc)
         self._observe_admission()
-        job = factory(future, deadline, started)
-        self._inbox.append(("job", job))
+        self._inbox.append(build(future, deadline, started))
         self._wake()
+        if (self._reload_check_every
+                and ordinal % self._reload_check_every == 0):
+            self.check_reload()
         return future
 
     def _deadline(self, timeout):
         """Normalise a caller timeout against the service default."""
         if timeout is None:
             timeout = self.default_deadline
-        return Deadline.of(timeout, clock=self._clock)
+        return Deadline.of(timeout)
 
-    def _reject(self, future, started, status, error):
+    def _reject(self, future, started, error, status=None):
         """Resolve a request terminally before it reaches the router."""
+        if status is None:
+            status = status_of(error)
         self._bump(status)
         metrics = self._metrics
         if metrics is not None:
             metrics.outcomes[status].inc()
         future.set_result(QueryResult(status, error=error,
-                                      elapsed=self._clock() - started,
+                                      elapsed=time.monotonic() - started,
                                       generation=self.generation))
         return future
 
@@ -1319,9 +1346,14 @@ class ClusterService:
         """Drain in-flight work, stop workers, join the router.
 
         Shutdown is terminal for every caller: any future still waiting
-        when the router exits — or stuck because the router itself is
-        wedged — is resolved with an ``ERROR`` :class:`QueryResult`, so
-        ``submit()`` callers can never hang across a close.
+        when the router exits is resolved with an ``ERROR``
+        :class:`QueryResult`, so ``submit()`` callers can never hang
+        across a close. The router gets ``timeout`` seconds to finish
+        its in-flight work; after that it is told to stop hard — fail
+        what is still in flight, SIGKILL the busy workers, exit — and
+        gets ``timeout`` more. Process handles are touched here only
+        once the router has exited (or, for a router that is truly
+        wedged, read once each as a last resort).
         """
         if self._closed:
             return
@@ -1329,26 +1361,24 @@ class ClusterService:
         self._inbox.append(("close", None))
         self._wake()
         self._router.join(timeout=timeout)
+        if self._router.is_alive():
+            self._inbox.append(("stop", None))
+            self._wake()
+            self._router.join(timeout=timeout)
         if self._router.is_alive():  # pragma: no cover - wedged router
-            # Last resort: the router thread did not exit in time. Its
-            # state is frozen from our point of view; resolving the
-            # leftover futures here is safe (terminal bookkeeping is
-            # idempotent via the done flags) and keeps the no-hang
-            # promise even in this degenerate case.
+            # Last resort: the router ignored the hard stop. Resolve the
+            # leftover futures from here (terminal bookkeeping is
+            # idempotent via the done flags) to keep the no-hang promise.
             self._failed = True
             self._fail_everything(ReproError("cluster router wedged "
                                              "during close"))
         if self._executor is not None:
             self._executor.close()
             self._executor.join(timeout=timeout)
-        for worker in self._workers:
-            if worker.process is None:
+        processes = [worker.process for worker in self._workers]
+        for process in processes + list(self._reaped):
+            if process is None:
                 continue
-            worker.process.join(timeout=timeout)
-            if worker.process.is_alive():  # pragma: no cover - stuck worker
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
-        for process in self._reaped:
             process.join(timeout=timeout)
             if process.is_alive():  # pragma: no cover - stuck worker
                 process.terminate()
@@ -1400,13 +1430,15 @@ class ClusterService:
         try:
             while True:
                 self._drain_inbox()
-                now = self._clock()
+                if self._stop_now:
+                    break
+                now = time.monotonic()
                 self._check_health(now)
                 timer = self._dispatch()
-                self._maybe_hedge(self._clock())
+                self._maybe_hedge(time.monotonic())
                 if self._closing and self._quiescent():
                     break
-                health = self._health_timer(self._clock())
+                health = self._health_timer(time.monotonic())
                 if health is not None:
                     timer = health if timer is None else min(timer, health)
                 self._asleep = True
@@ -1443,23 +1475,15 @@ class ClusterService:
 
     def _drain_inbox(self):
         while self._inbox:
-            kind, payload = None, None
             try:
-                item = self._inbox.popleft()
+                kind, payload = self._inbox.popleft()
             except IndexError:  # pragma: no cover - racing producer
                 break
-            kind = item[0]
-            payload = item[1] if len(item) > 1 else None
             if kind == "pair":
-                payload.enqueued = self._clock()
+                payload.enqueued = time.monotonic()
                 self._pending[self.plan.shard_of(payload.s)].append(payload)
             elif kind == "job":
-                for key in payload.keys():
-                    shard = payload.shard_for(key)
-                    if shard is None:
-                        self._workers[key].pinned.append((payload, key))
-                    else:
-                        self._subs[shard].append((payload, key))
+                self._enqueue(payload)
             elif kind == "reload":
                 self._target_generation += 1
             elif kind == "drain":
@@ -1468,9 +1492,22 @@ class ClusterService:
                 self._on_degraded_done(*payload)
             elif kind == "close":
                 self._closing = True
+            elif kind == "stop":
+                self._closing = True
+                self._stop_now = True
+
+    def _enqueue(self, job):
+        """Queue every sub of ``job``: on its shard, or pinned to its
+        worker when it has no shard."""
+        for key in job.keys():
+            shard = job.shard_for(key)
+            if shard is None:
+                self._workers[key].pinned.append((job, key))
+            else:
+                self._subs[shard].append((job, key))
 
     def _quiescent(self):
-        if self._inflight or self._inbox or self._fallback_inflight:
+        if self._inflight or self._inbox or self._offloaded:
             return False
         if any(self._pending) or any(self._subs):
             return False
@@ -1487,7 +1524,7 @@ class ClusterService:
         return True
 
     def _dispatch(self):
-        now = self._clock()
+        now = time.monotonic()
         for worker in self._workers:
             if worker.state != IDLE:
                 continue
@@ -1503,20 +1540,35 @@ class ClusterService:
                     worker.busy_since = now
                 continue
             if worker.pinned:
-                job, key = worker.pinned.popleft()
-                self._dispatch_sub(worker, job, key)
+                self._dispatch_sub(worker, *worker.pinned.popleft())
                 continue
-            shard = worker.shard
-            if self._subs[shard]:
-                job, key = self._subs[shard].popleft()
-                self._dispatch_sub(worker, job, key)
-                continue
-            if self._batch_ready(shard, now):
-                self._dispatch_pairs(worker, shard)
-        if self._peer_degraded:
-            self._dispatch_peers(now)
+            work = self._next_work(worker.shard, now)
+            if work is not None:
+                self._dispatch_sub(worker, *work)
+        self._dispatch_peers(now)
         self._route_stranded()
         return self._next_timer(now)
+
+    def _next_work(self, shard, now):
+        """The shard's next ``(job, key)``: a queued sub first, else the
+        coalescing buffer sealed into a job once it is ready to flush."""
+        if self._subs[shard]:
+            return self._subs[shard].popleft()
+        if self._batch_ready(shard, now):
+            return self._seal(shard), shard
+        return None
+
+    def _seal(self, shard):
+        """Seal up to ``max_batch`` buffered pair requests into one job."""
+        pending = self._pending[shard]
+        members = [pending.popleft()
+                   for _ in range(min(len(pending), self.max_batch))]
+        return _CoalescedPairs(self._finish_pair, shard, members)
+
+    def _seal_all(self, shard):
+        """Move the whole coalescing buffer into the shard's sub queue."""
+        while self._pending[shard]:
+            self._subs[shard].append((self._seal(shard), shard))
 
     def _dispatch_peers(self, now):
         """Idle workers adopt the queued work of shards with no serving
@@ -1534,12 +1586,9 @@ class ClusterService:
             for shard in self.plan.peer_order(worker.shard):
                 if self._shard_serving(shard):
                     continue
-                if self._subs[shard]:
-                    job, key = self._subs[shard].popleft()
-                    self._dispatch_sub(worker, job, key)
-                    break
-                if self._batch_ready(shard, now):
-                    self._dispatch_pairs(worker, shard)
+                work = self._next_work(shard, now)
+                if work is not None:
+                    self._dispatch_sub(worker, *work)
                     break
 
     def _batch_ready(self, shard, now):
@@ -1562,8 +1611,7 @@ class ClusterService:
                            and w.shard == shard for w in self._workers)
             if not has_idle:
                 # A down shard's window can still expire onto a peer.
-                if not (self._peer_degraded and idle_any
-                        and not self._shard_serving(shard)):
+                if not (idle_any and not self._shard_serving(shard)):
                     continue
             wait = self.batch_window - (now - pending[0].enqueued)
             wait = max(wait, 0.0)
@@ -1583,80 +1631,31 @@ class ClusterService:
             self._on_worker_death(worker)
             return False
 
-    def _dispatch_pairs(self, worker, shard):
-        pending = self._pending[shard]
-        members = []
-        budget = None
-        unlimited = False
-        while pending and len(members) < self.max_batch:
-            request = pending.popleft()
-            if request.done:
-                continue
-            if request.deadline is not None:
-                remaining = request.deadline.remaining()
-                if remaining <= 0:
-                    self._finish_pair(request, DEADLINE,
-                                      error=_deadline_error(request.deadline))
-                    continue
-                budget = remaining if budget is None else max(budget,
-                                                              remaining)
-            else:
-                unlimited = True
-            members.append(request)
-        if not members:
-            return
-        batch_id = self._next_id()
-        message = (protocol.PAIRS, batch_id,
-                   [r.s for r in members], [r.t for r in members],
-                   None if unlimited else budget)
-        if not self._send(worker, message):
-            for request in reversed(members):
-                pending.appendleft(request)
-            return
-        now = self._clock()
-        flight = _Flight("pairs", batch_id, worker, shard, message, now,
-                         None if unlimited else budget)
-        flight.members = members
-        if worker.shard != shard:
-            flight.degraded = (shard,)
-            self._note_degraded(shard, len(members))
-        worker.state = BUSY
-        worker.busy_since = now
-        worker.busy_budget = flight.budget
-        self._inflight[batch_id] = flight
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.batch_size.observe(len(members))
-
     def _dispatch_sub(self, worker, job, key):
         if job.done or job.offloaded:
             return
-        budget = None
-        if job.deadline is not None:
-            budget = job.deadline.remaining()
-            if budget <= 0:
-                self._finish_job(job, DEADLINE,
-                                 error=_deadline_error(job.deadline))
-                return
+        budget = job.budget()
+        if budget is not None and budget <= 0:
+            self._finish_job(job, DEADLINE,
+                             error=_deadline_error(job.deadline))
+            return
         batch_id = self._next_id()
         shard = job.shard_for(key)
         message = job.message(key, batch_id, budget)
         if not self._send(worker, message):
             if shard is not None:
-                self._subs[shard].append((job, key))
+                self._subs[shard].appendleft((job, key))
             else:
                 self._finish_job(job, ERROR,
                                  error=ReproError("worker died"))
             return
-        now = self._clock()
-        flight = _Flight("sub", batch_id, worker, shard
-                         if shard is not None else worker.shard,
-                         message, now, budget)
-        flight.job = job
-        flight.key = key
+        now = time.monotonic()
+        flight = _Flight(batch_id, worker,
+                         worker.shard if shard is None else shard,
+                         message, now, budget, job, key)
         if shard is not None and worker.shard != shard:
             flight.degraded = (shard,)
-            self._note_degraded(shard)
+            self._note_degraded(shard, job.weight)
         worker.state = BUSY
         worker.busy_since = now
         worker.busy_budget = budget
@@ -1690,34 +1689,16 @@ class ClusterService:
                     continue  # a STARTING/replacement incarnation is coming
                 if any(w.respawn_at is not None for w in own):
                     continue  # supervisor has a respawn scheduled
-                if self._peer_degraded and any(
-                        w.serving and not w.draining for w in self._workers):
+                if any(w.serving and not w.draining for w in self._workers):
                     continue  # a healthy peer will poach this queue
-            if self._fallback is not None:
-                self._offload_shard(shard)
-                continue
+            self._seal_all(shard)
             error = ReproError(f"no live workers for shard {shard}")
-            while self._pending[shard]:
-                self._finish_pair(self._pending[shard].popleft(), ERROR,
-                                  error=error)
             while self._subs[shard]:
                 job, _ = self._subs[shard].popleft()
-                self._finish_job(job, ERROR, error=error)
-
-    def _offload_shard(self, shard):
-        """Move a dead shard's backlog onto the BFS fallback thread."""
-        members = []
-        while self._pending[shard]:
-            request = self._pending[shard].popleft()
-            if not request.done:
-                members.append(request)
-        if members:
-            self._fallback_inflight += 1
-            self._note_degraded(shard, len(members))
-            self._executor.submit(("pairs", shard, members))
-        while self._subs[shard]:
-            job, _ = self._subs[shard].popleft()
-            self._offload_job(job)
+                if self._fallback is not None:
+                    self._offload_job(job)
+                else:
+                    self._finish_job(job, ERROR, error=error)
 
     def _offload_job(self, job):
         """Send a whole scatter-gather job down the BFS path.
@@ -1737,10 +1718,11 @@ class ClusterService:
             if worker.pinned:
                 worker.pinned = collections.deque(
                     (j, k) for j, k in worker.pinned if j is not job)
-        self._fallback_inflight += 1
+        self._offloaded.add(job)
         for shard in job.home_shards():
             job.degraded.add(shard)
-        self._executor.submit(("job", job))
+            self._note_degraded(shard, job.weight)
+        self._executor.submit(job)
 
     def _note_degraded(self, shard, count=1):
         with self._stats_lock:
@@ -1775,7 +1757,7 @@ class ClusterService:
             self._on_worker_death(worker)
 
     def _handle_message(self, worker, message):
-        worker.last_seen = self._clock()
+        worker.last_seen = time.monotonic()
         kind = message[0]
         if kind == protocol.HELLO:
             self._on_hello(worker, message)
@@ -1817,18 +1799,15 @@ class ClusterService:
                     registry.counter("spc_cluster_hedge_wins_total").inc()
         if message[0] == protocol.OK:
             self._latency[flight.home_shard].append(
-                self._clock() - flight.sent_at)
-        if flight.job is not None and flight.job.offloaded:
+                time.monotonic() - flight.sent_at)
+        if flight.job.offloaded:
             # The whole job went down the BFS path; arena replies for it
             # are ignored so generations never mix in one gather.
             return
-        if flight.kind == "pairs":
-            self._on_pairs_reply(worker, flight, message)
-        else:
-            self._on_sub_reply(worker, flight, message)
+        self._on_sub_reply(worker, flight, message)
 
     def _on_hello(self, worker, message):
-        now = self._clock()
+        now = time.monotonic()
         worker.generation = message[1]
         worker.state = IDLE
         worker.hello_at = now
@@ -1857,38 +1836,6 @@ class ClusterService:
         worker.died_at = None
         self._resolve_drains(worker, True)
 
-    def _on_pairs_reply(self, worker, flight, message):
-        members = flight.members
-        self._bump("batches")
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.batches[worker.shard].inc()
-            metrics.batch_seconds[worker.shard].observe(
-                self._clock() - flight.sent_at)
-        if message[0] == protocol.ERR:
-            kind, detail = message[2], message[3]
-            status = _ERR_STATUS.get(kind, ERROR)
-            if status == ERROR:
-                self.breaker.record_failure()
-            for request in members:
-                error = (_deadline_error(request.deadline)
-                         if kind == protocol.ERR_DEADLINE
-                         else _err_exception(kind, detail))
-                self._finish_pair(request, status, error=error)
-            return
-        self.breaker.record_success()
-        generation = message[2]
-        answers = message[3]
-        for request, answer in zip(members, answers):
-            if (request.deadline is not None
-                    and request.deadline.remaining() <= 0):
-                self._finish_pair(request, DEADLINE,
-                                  error=_deadline_error(request.deadline))
-            else:
-                self._finish_pair(request, SERVED_INDEX, answer=answer,
-                                  generation=generation,
-                                  degraded=flight.degraded)
-
     def _on_sub_error(self, job, kind, detail):
         status = _ERR_STATUS.get(kind, ERROR)
         if status == ERROR:
@@ -1900,17 +1847,15 @@ class ClusterService:
 
     def _on_sub_reply(self, worker, flight, message):
         job, key = flight.job, flight.key
-        if isinstance(job, _PairBatchJob):
-            # A bulk sub is one coalesced worker round-trip, same as a
-            # router-built pair batch — account it under the same
-            # counters so the batching instruments cover both doors.
+        if flight.message[0] == protocol.PAIRS:
+            # One count_many round-trip, bulk or coalesced.
             self._bump("batches")
             metrics = self._metrics
             if metrics is not None:
                 metrics.batches[worker.shard].inc()
                 metrics.batch_seconds[worker.shard].observe(
-                    self._clock() - flight.sent_at)
-                metrics.batch_size.observe(len(job.subs[key][0]))
+                    time.monotonic() - flight.sent_at)
+                metrics.batch_size.observe(len(flight.message[2]))
         if message[0] == protocol.ERR:
             self._on_sub_error(job, message[2], message[3])
             return
@@ -1937,12 +1882,7 @@ class ClusterService:
             job.retries += 1
             job.replies.clear()
             job.degraded.clear()
-            for sub_key in job.keys():
-                shard = job.shard_for(sub_key)
-                if shard is None:
-                    self._workers[sub_key].pinned.append((job, sub_key))
-                else:
-                    self._subs[shard].append((job, sub_key))
+            self._enqueue(job)
             return
         generations = {gen for gen, _ in job.replies.values()}
         payloads = {k: payload for k, (_, payload) in job.replies.items()}
@@ -1977,7 +1917,7 @@ class ClusterService:
     def _on_worker_death(self, worker):
         if worker.state in (DEAD, STOPPED):
             return
-        now = self._clock()
+        now = time.monotonic()
         was_starting = worker.state == STARTING
         worker.state = DEAD
         worker.died_at = now
@@ -2035,8 +1975,8 @@ class ClusterService:
 
         Cancelled hedge legs carry no work; a flight whose hedge twin is
         still racing just detaches (the twin now answers alone). Replays
-        go to the *front* of the pair queue so the oldest requests keep
-        their place in line.
+        go to the *front* of the shard queue so the oldest work keeps its
+        place in line.
         """
         if flight.cancelled:
             return
@@ -2045,11 +1985,6 @@ class ClusterService:
             flight.twin = None
             return
         self._bump("replays")
-        if flight.kind == "pairs":
-            for request in reversed(flight.members):
-                if not request.done:
-                    self._pending[flight.home_shard].appendleft(request)
-            return
         job, key = flight.job, flight.key
         if job.done or job.offloaded or key in job.replies:
             return
@@ -2058,7 +1993,7 @@ class ClusterService:
             # A worker-pinned probe (STATS) cannot run anywhere else.
             self._finish_job(job, ERROR, error=ReproError("worker died"))
         else:
-            self._subs[shard].append((job, key))
+            self._subs[shard].appendleft((job, key))
 
     # -- supervision ----------------------------------------------------------
 
@@ -2071,7 +2006,7 @@ class ClusterService:
                     self._respawn_now(worker)
                 continue
             if worker.state == STARTING:
-                if now - worker.spawned_at > self._start_timeout:
+                if now - worker.spawned_at > START_TIMEOUT:
                     self._stall_kill(worker, "no HELLO within start_timeout")
                 continue
             if worker.state == BUSY:
@@ -2111,7 +2046,7 @@ class ClusterService:
             if worker.state == DEAD:
                 consider(worker.respawn_at)
             elif worker.state == STARTING:
-                consider(worker.spawned_at + self._start_timeout)
+                consider(worker.spawned_at + START_TIMEOUT)
             elif worker.state == BUSY:
                 if (worker.busy_budget is not None
                         and worker.busy_since is not None):
@@ -2182,7 +2117,7 @@ class ClusterService:
             return None
         ordered = sorted(samples)
         p95 = ordered[int(0.95 * (len(ordered) - 1))]
-        return max(self._hedge_floor, p95 * self._hedge_multiplier)
+        return max(HEDGE_FLOOR, p95 * HEDGE_MULTIPLIER)
 
     def _maybe_hedge(self, now):
         if self._hedge_delay is None or not self._inflight:
@@ -2195,7 +2130,7 @@ class ClusterService:
                                          protocol.SINGLE_SOURCE,
                                          protocol.SET_TO_SET):
                 continue  # pinned probes and control traffic never hedge
-            if flight.job is not None and flight.job.offloaded:
+            if flight.job.offloaded:
                 continue
             delay = self._hedge_delay_for(flight.home_shard)
             if delay is None or now - flight.sent_at < delay:
@@ -2216,7 +2151,7 @@ class ClusterService:
                 continue
             if worker.shard == flight.worker.shard:
                 return worker
-            if best is None and self._peer_degraded:
+            if best is None:
                 best = worker
         return best
 
@@ -2225,11 +2160,8 @@ class ClusterService:
         message = flight.message[:1] + (batch_id,) + flight.message[2:]
         if not self._send(sibling, message):
             return
-        hedge = _Flight(flight.kind, batch_id, sibling, flight.home_shard,
-                        message, now, flight.budget)
-        hedge.members = flight.members
-        hedge.job = flight.job
-        hedge.key = flight.key
+        hedge = _Flight(batch_id, sibling, flight.home_shard, message, now,
+                        flight.budget, flight.job, flight.key)
         hedge.degraded = flight.degraded
         hedge.is_hedge = True
         hedge.twin = flight
@@ -2297,23 +2229,23 @@ class ClusterService:
 
     # -- degraded execution ---------------------------------------------------
 
-    def _on_degraded_done(self, item, outcome):
-        self._fallback_inflight -= 1
-        if item[0] == "pairs":
-            _, shard, members = item
-            for request, (status, answer, error) in zip(members, outcome):
-                self._finish_pair(request, status, answer=answer,
-                                  error=error, degraded=(shard,))
-            return
-        job = item[1]
+    def _on_degraded_done(self, job, outcome):
+        self._offloaded.discard(job)
         status, answer, error = outcome
         self._finish_job(job, status, answer=answer, error=error)
 
     def _shutdown_workers(self):
+        """Stop every live worker. A busy one is SIGKILLed instead: its
+        work is failed and nothing will ever read its reply."""
         for worker in self._workers:
             if not worker.live:
                 continue
-            if worker.conn is not None:
+            if worker.state == BUSY and worker.process is not None:
+                try:
+                    worker.process.kill()
+                except (OSError, ValueError):  # pragma: no cover - exited
+                    pass
+            elif worker.conn is not None:
                 try:
                     worker.conn.send((protocol.STOP,))
                 except (OSError, ValueError, BrokenPipeError):
@@ -2322,56 +2254,35 @@ class ClusterService:
             worker.state = STOPPED
 
     def _fail_everything(self, error):
-        """Terminally resolve every queued, in-flight, and inbox future.
+        """Terminally resolve every inbox, queued, in-flight, and
+        offloaded future.
 
-        Idempotent (the ``done`` flags make double-resolution a no-op)
-        and callable from the closing thread as a last resort, so no
-        ``submit()`` caller can ever hang across shutdown.
+        Idempotent (the ``done`` flags make double-resolution a no-op),
+        so no ``submit()`` caller can ever hang across shutdown.
         """
-        for shard in range(self.plan.shards):
-            while self._pending[shard]:
-                self._finish_pair(self._pending[shard].popleft(), ERROR,
-                                  error=error)
-            while self._subs[shard]:
-                job, _ = self._subs[shard].popleft()
-                self._finish_job(job, ERROR, error=error)
-        for flight in list(self._inflight.values()):
-            if flight.cancelled:
-                continue
-            if flight.kind == "pairs":
-                for request in flight.members:
-                    self._finish_pair(request, ERROR, error=error)
-            elif flight.job is not None:
-                self._finish_job(flight.job, ERROR, error=error)
+        self._drain_inbox()
+        jobs = [flight.job for flight in self._inflight.values()
+                if not flight.cancelled]
+        jobs.extend(self._offloaded)
         self._inflight.clear()
+        self._offloaded.clear()
+        for shard in range(self.plan.shards):
+            self._seal_all(shard)
+            jobs.extend(job for job, _ in self._subs[shard])
+            self._subs[shard].clear()
         for worker in self._workers:
-            while worker.pinned:
-                job, _ = worker.pinned.popleft()
-                self._finish_job(job, ERROR, error=error)
+            jobs.extend(job for job, _ in worker.pinned)
+            worker.pinned.clear()
             self._resolve_drains(worker, False)
-        while self._inbox:
-            try:
-                item = self._inbox.popleft()
-            except IndexError:  # pragma: no cover - racing producer
-                break
-            kind = item[0]
-            if kind == "pair":
-                self._finish_pair(item[1], ERROR, error=error)
-            elif kind == "job":
-                self._finish_job(item[1], ERROR, error=error)
-            elif kind == "drain":
-                _set_result(item[1][2], False)
-            elif kind == "degraded_done":
-                self._on_degraded_done(*item[1])
+        for job in jobs:
+            self._finish_job(job, ERROR, error=error)
 
     # -- terminal bookkeeping -------------------------------------------------
 
-    def _finish_pair(self, request, status, answer=None, error=None,
-                     generation=0, degraded=()):
-        if request.done:
-            return
-        request.done = True
-        elapsed = self._clock() - request.started
+    def _settle(self, status, started):
+        """Release one admitted request's slot and count its outcome;
+        returns the request's elapsed seconds."""
+        elapsed = time.monotonic() - started
         self._admission.release(elapsed)
         self._bump(status)
         metrics = self._metrics
@@ -2379,6 +2290,14 @@ class ClusterService:
             metrics.outcomes[status].inc()
             metrics.seconds.observe(elapsed)
             metrics.inflight.set(self._admission.in_flight)
+        return elapsed
+
+    def _finish_pair(self, request, status, answer=None, error=None,
+                     generation=0, degraded=()):
+        if request.done:
+            return
+        request.done = True
+        elapsed = self._settle(status, request.started)
         _set_result(request.future, QueryResult(
             status, answer=answer, error=error, elapsed=elapsed,
             generation=generation, degraded_shards=degraded))
@@ -2387,19 +2306,15 @@ class ClusterService:
         if job.done:
             return
         job.done = True
-        elapsed = self._clock() - job.started
         if job.admitted:
-            self._admission.release(elapsed)
-            self._bump(status)
-            metrics = self._metrics
-            if metrics is not None:
-                metrics.outcomes[status].inc()
-                metrics.seconds.observe(elapsed)
+            elapsed = self._settle(status, job.started)
+        else:
+            elapsed = time.monotonic() - job.started
         job.resolve(status, answer, error, generation, elapsed,
                     degraded=tuple(sorted(job.degraded)))
 
 
-def worker_entry(conn, path, generation, verify, fault=None):
+def worker_entry(conn, path, generation, fault=None):
     """Process target: import-light wrapper around ``worker_main``.
 
     Kept at module top level so it stays picklable under spawn-based
@@ -2409,7 +2324,7 @@ def worker_entry(conn, path, generation, verify, fault=None):
     """
     from repro.serving.worker import worker_main
 
-    worker_main(conn, path, generation, verify=verify, fault=fault)
+    worker_main(conn, path, generation, fault=fault)
 
 
 class _ClusterOracle:

@@ -69,6 +69,26 @@ TERMINAL_STATUSES = frozenset(
     (SERVED_INDEX, SERVED_DEGRADED, SHED, CIRCUIT_OPEN, DEADLINE, INVALID, ERROR)
 )
 
+#: The terminal status each typed library error maps onto, most specific
+#: first: :func:`status_of` returns the first row the error is an
+#: instance of. Every front end (in-process, cluster, BFS fallback)
+#: resolves failures through this one table.
+ERROR_STATUSES = (
+    (ServiceOverloaded, SHED),
+    (CircuitOpenError, CIRCUIT_OPEN),
+    (DeadlineExceeded, DEADLINE),
+    (VertexError, INVALID),
+    (ReproError, ERROR),
+)
+
+
+def status_of(error):
+    """Terminal status for a :class:`~repro.exceptions.ReproError`."""
+    for kind, status in ERROR_STATUSES:
+        if isinstance(error, kind):
+            return status
+    raise TypeError(f"not a library error: {error!r}")
+
 
 class QueryResult:
     """One request's terminal outcome: status, answer or typed error."""
@@ -224,10 +244,12 @@ class SPCService:
         if self._watcher is None:
             return False
         with self._reload_lock:
+            # poll() already recorded the signature it saw. Re-reading it
+            # after the load could adopt bytes that were never loaded (a
+            # non-atomic write finishing mid-reload) and never retry them.
             if not self._watcher.poll():
                 return False
             ok = self._resilient.reload()
-            self._watcher.mark()
         with self._stats_lock:
             self.counters["reloads" if ok else "reload_failures"] += 1
         registry = get_registry()
@@ -342,21 +364,10 @@ class SPCService:
             answer, status = self._execute(
                 lambda d: self._query_engine.run(node, deadline=d), deadline,
             )
-        except ServiceOverloaded as exc:
-            self._bump(SHED)
-            result = QueryResult(SHED, error=exc)
-        except CircuitOpenError as exc:
-            self._bump(CIRCUIT_OPEN)
-            result = QueryResult(CIRCUIT_OPEN, error=exc)
-        except DeadlineExceeded as exc:
-            self._bump(DEADLINE)
-            result = QueryResult(DEADLINE, error=exc)
-        except VertexError as exc:
-            self._bump(INVALID)
-            result = QueryResult(INVALID, error=exc)
         except ReproError as exc:
-            self._bump(ERROR)
-            result = QueryResult(ERROR, error=exc)
+            status = status_of(exc)
+            self._bump(status)
+            result = QueryResult(status, error=exc)
         else:
             result = QueryResult(status, answer=answer)
         result.elapsed = self._clock() - started

@@ -98,7 +98,7 @@ def _execute(flat, message):
     raise AssertionError(f"unknown batch kind {kind!r}")
 
 
-def worker_main(conn, path, generation, verify=True, fault=None):
+def worker_main(conn, path, generation, fault=None):
     """Worker process entry point: serve batches from ``conn`` forever.
 
     ``generation`` is the router-assigned ordinal for the arena mapped at
@@ -115,7 +115,7 @@ def worker_main(conn, path, generation, verify=True, fault=None):
     keeps firing deterministic across supervisor respawns.
     """
     try:
-        flat, meta, signature = open_shared(path, verify=verify)
+        flat, meta, signature = open_shared(path)
     except (OSError, SerializationError) as exc:
         conn.send((protocol.ERR, None, protocol.ERR_SERIALIZATION, str(exc)))
         conn.close()
@@ -132,7 +132,7 @@ def worker_main(conn, path, generation, verify=True, fault=None):
         if kind == protocol.RELOAD:
             next_generation = message[1]
             try:
-                flat, meta, signature = open_shared(path, verify=verify)
+                flat, meta, signature = open_shared(path)
             except (OSError, SerializationError) as exc:
                 conn.send((protocol.RELOADED, generation, False, str(exc)))
             else:

@@ -27,10 +27,33 @@ from repro.serving import (
     SERVED_INDEX,
     SHED,
     ClusterService,
+    protocol,
 )
 from repro.utils.rng import random_pairs
 
 N = 240
+
+
+class SlowReply:
+    """Worker fault: hold every batch reply back for ``seconds``."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def before_reply(self, conn, reply):
+        time.sleep(self.seconds)
+        return False
+
+
+class ErrReply:
+    """Worker fault: answer every batch with a typed ``ERR`` of ``kind``."""
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def before_reply(self, conn, reply):
+        conn.send((protocol.ERR, reply[1], self.kind, "injected"))
+        return True
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +106,49 @@ class TestPairServing:
             stats = service.stats()
             # 64 requests in far fewer round-trips than 64.
             assert stats["counters"]["batches"] < 16
+
+    def test_coalesced_batch_keeps_member_deadlines(self, arena, flat):
+        # One coalesced round-trip whose reply lands after the short
+        # budgets ran out but well inside the long ones.
+        pairs = list(random_pairs(N, 8, rng=21))
+        budgets = [0.2 if i % 2 else 30.0 for i in range(len(pairs))]
+        with ClusterService(arena, workers=1, batch_window=0.05,
+                            _fault=SlowReply(0.5)) as service:
+            futures = [service.submit_nowait(s, t, timeout=budget)
+                       for (s, t), budget in zip(pairs, budgets)]
+            results = [f.result(timeout=30) for f in futures]
+            assert service.stats()["counters"]["batches"] == 1
+        for result, budget, want in zip(results, budgets,
+                                        count_many(flat, pairs)):
+            if budget < 1:
+                assert result.status == DEADLINE
+                assert result.error.budget == budget
+            else:
+                assert result.status == SERVED_INDEX, result.error
+                assert tuple(result.answer) == tuple(want)
+
+    @pytest.mark.parametrize("kind, status", [
+        (protocol.ERR_DEADLINE, DEADLINE),
+        (protocol.ERR_VERTEX, INVALID),
+        (protocol.ERR_ERROR, ERROR),
+    ])
+    def test_err_reply_reaches_every_coalesced_member(self, arena, kind,
+                                                      status):
+        budgets = [5.0 + i for i in range(6)]
+        with ClusterService(arena, workers=1, batch_window=0.05,
+                            _fault=ErrReply(kind)) as service:
+            futures = [service.submit_nowait(0, i + 1, timeout=budget)
+                       for i, budget in enumerate(budgets)]
+            results = [f.result(timeout=30) for f in futures]
+            counters = service.stats()["counters"]
+            assert counters["batches"] == 1
+            assert counters[status] == len(budgets)
+            assert service.stats()["admission"]["in_flight"] == 0
+        for result, budget in zip(results, budgets):
+            assert result.status == status
+            if status == DEADLINE:
+                # Each member's error carries its own budget.
+                assert result.error.budget == budget
 
     def test_invalid_vertex_is_a_status(self, cluster):
         result = cluster.submit(0, N + 7)

@@ -29,7 +29,7 @@ from repro.serving import (
     SERVED_INDEX,
     ClusterService,
 )
-from repro.serving.cluster import _Job
+from repro.serving.cluster import HEDGE_FLOOR, _Job
 from repro.testing.faults import StalledWorker, TornPipeWrite
 from repro.utils.rng import random_pairs
 
@@ -177,6 +177,34 @@ class TestHedging:
             assert service.submit(0, 2).status == SERVED_INDEX
             assert service.stats()["counters"][SERVED_INDEX] >= 2
 
+    def test_hedged_submit_many_resolves_once(self, arena, flat, tmp_path):
+        fault = StalledWorker(tmp_path, after_replies=1, times=1)
+        pairs = list(random_pairs(N, 12, rng=23))
+        with ClusterService(arena, workers=2, shards=1, hedge_delay=0.05,
+                            heartbeat_interval=0, _fault=fault) as service:
+            pids = [w["pid"] for w in service.stats()["workers"]]
+            # One bulk sub: worker 0 stalls before replying, the hedge
+            # on worker 1 answers it.
+            result = service.submit_many(pairs, timeout=None)
+            assert result.status == SERVED_INDEX, result.error
+            assert ([tuple(a) for a in result.answer]
+                    == [tuple(w) for w in count_many(flat, pairs)])
+            for pid in pids:
+                try:
+                    StalledWorker.resume(pid)
+                except ProcessLookupError:
+                    pass
+            # The stalled leg's late duplicate frees its worker and is
+            # otherwise dropped: one request, one outcome, one slot.
+            assert _wait(lambda: all(w["state"] == "idle"
+                                     for w in service.stats()["workers"]))
+            stats = service.stats()
+            assert stats["counters"]["hedges"] == 1
+            assert stats["counters"]["hedge_wins"] == 1
+            assert stats["counters"]["requests"] == 1
+            assert stats["counters"][SERVED_INDEX] == 1
+            assert stats["admission"]["in_flight"] == 0
+
     def test_auto_hedge_needs_latency_samples(self, arena):
         with ClusterService(arena, workers=2, shards=1,
                             hedge_delay="auto") as service:
@@ -185,7 +213,7 @@ class TestHedging:
                 service._latency[0].append(0.01)
             delay = service._hedge_delay_for(0)
             assert delay is not None
-            assert delay >= service._hedge_floor
+            assert delay >= HEDGE_FLOOR
 
 
 class TestDegradedRouting:
