@@ -34,7 +34,6 @@ from repro.query.backends import (
     FlatBackend,
     MatrixBackend,
     OracleBackend,
-    ResilientBackend,
 )
 from repro.query.cache import ResultCache
 from repro.query.engine import CompiledQuery, QueryEngine
@@ -56,7 +55,6 @@ __all__ = [
     "ResultCache", "DEFAULT_MATRIX_MAX", "DEFAULT_SAMPLES",
     # backends
     "Backend", "FlatBackend", "BFSBackend", "MatrixBackend", "OracleBackend",
-    "ResilientBackend",
     # textual form
     "parse_query", "parse_statement",
 ]

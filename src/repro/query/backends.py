@@ -17,12 +17,13 @@ assert operator-by-operator agreement across all of them.
   one component sweep, every later query from it is O(1). The planner
   only offers it for tiny components, where the cache actually fits.
 * :class:`OracleBackend` — any duck-typed ``count_with_distance``
-  object (an index facade, a dynamic overlay, a cluster adapter); used
-  by the ``applications/`` drivers so they stay engine-agnostic.
-* :class:`ResilientBackend` — a :class:`~repro.resilience
-  .ResilientSPCIndex`; its ``name`` mirrors the live serving path
-  (``flat`` while the index generation is loaded, ``bfs`` once
-  degraded), which is how serving plans reflect reality.
+  object (an index facade, a dynamic overlay, a serving front door's
+  per-request adapter); used by the ``applications/`` drivers so they
+  stay engine-agnostic, and by both serving tiers.
+
+:func:`merge_min_count` is the one set-to-set merge — minimum distance,
+counts summed at that minimum — shared by :meth:`Backend.set_to_set`,
+the resilient facade's BFS sweep and the cluster's scatter-gather.
 """
 
 import numpy as np
@@ -31,7 +32,7 @@ INF = float("inf")
 
 __all__ = [
     "Backend", "FlatBackend", "BFSBackend", "MatrixBackend",
-    "OracleBackend", "ResilientBackend", "normalize_pair",
+    "OracleBackend", "merge_min_count", "normalize_pair",
     "normalize_single_source",
 ]
 
@@ -61,6 +62,23 @@ def normalize_single_source(dist, count):
             out_dist.append(int(d))
             out_count.append(c)
     return (tuple(out_dist), tuple(out_count))
+
+
+def merge_min_count(answers):
+    """Merge ``(dist, count)`` answers into ``(min dist, counts summed at it)``.
+
+    Answers with a zero count (disconnected) are ignored; ``(inf, 0)``
+    when nothing connects.
+    """
+    best, sigma = INF, 0
+    for dist, count in answers:
+        if not count:
+            continue
+        if dist < best:
+            best, sigma = dist, count
+        elif dist == best:
+            sigma += count
+    return (best, sigma)
 
 
 class Backend:
@@ -99,17 +117,8 @@ class Backend:
         """Min distance over S x T with counts summed at the minimum."""
         if not sources or not targets:
             return (INF, 0)
-        best, sigma = INF, 0
-        for s in sources:
-            for d, c in self.pairs([(s, t) for t in targets],
-                                   deadline=deadline):
-                if c == 0:
-                    continue
-                if d < best:
-                    best, sigma = d, c
-                elif d == best:
-                    sigma += c
-        return (best, sigma) if sigma else (INF, 0)
+        return merge_min_count(self.pairs(
+            [(s, t) for s in sources for t in targets], deadline=deadline))
 
     def pair_cost(self):
         """Estimated work units for one pair query (planner input)."""
@@ -278,27 +287,28 @@ class OracleBackend(Backend):
         return n if isinstance(n, int) else None
 
     def pair(self, s, t, deadline=None):
-        return normalize_pair(*_call_pair(self.oracle, s, t, deadline))
+        return normalize_pair(*_call(self.oracle.count_with_distance, s, t,
+                                     deadline=deadline))
 
     def pairs(self, pairs, deadline=None):
         count_many = getattr(self.oracle, "count_many", None)
         if count_many is not None:
-            try:
-                answers = count_many(pairs, deadline=deadline)
-            except TypeError:
-                answers = count_many(pairs)
-            return [normalize_pair(d, c) for d, c in answers]
+            return [normalize_pair(d, c)
+                    for d, c in _call(count_many, pairs, deadline=deadline)]
         return super().pairs(pairs, deadline=deadline)
 
     def single_source(self, s, deadline=None):
         sweep = getattr(self.oracle, "single_source", None)
         if sweep is not None:
-            try:
-                answer = sweep(s, deadline=deadline)
-            except TypeError:
-                answer = sweep(s)
-            return normalize_single_source(*answer)
+            return normalize_single_source(*_call(sweep, s, deadline=deadline))
         return super().single_source(s, deadline=deadline)
+
+    def set_to_set(self, sources, targets, deadline=None):
+        merge = getattr(self.oracle, "set_to_set", None)
+        if merge is None or not sources or not targets:
+            return super().set_to_set(sources, targets, deadline=deadline)
+        return normalize_pair(*_call(merge, sources, targets,
+                                     deadline=deadline))
 
     def pair_cost(self):
         # Opaque: assume label-scan-ish work. The oracle backend is
@@ -306,60 +316,13 @@ class OracleBackend(Backend):
         return 16.0
 
 
-def _call_pair(oracle, s, t, deadline):
-    """``count_with_distance`` with or without deadline support."""
+def _call(method, *args, deadline=None):
+    """``method(*args, deadline=...)``; for an oracle method that takes
+    no deadline, check it once and call without."""
     if deadline is None:
-        return oracle.count_with_distance(s, t)
+        return method(*args)
     try:
-        return oracle.count_with_distance(s, t, deadline=deadline)
+        return method(*args, deadline=deadline)
     except TypeError:
         deadline.check()
-        return oracle.count_with_distance(s, t)
-
-
-class ResilientBackend(Backend):
-    """A serving-tier :class:`~repro.resilience.ResilientSPCIndex`.
-
-    The backend's ``name`` tracks the facade's live serving path, so
-    plans (and the backend-chosen metric) say ``flat`` while an index
-    generation is loaded and ``bfs`` once the facade degrades — the
-    planner itself never second-guesses the facade's own fallback
-    machinery.
-    """
-
-    def __init__(self, resilient):
-        self.resilient = resilient
-
-    @property
-    def name(self):
-        return "flat" if self.resilient.status == "index" else "bfs"
-
-    @property
-    def n(self):
-        return self.resilient.n
-
-    def pair(self, s, t, deadline=None):
-        return normalize_pair(
-            *self.resilient.count_with_distance(s, t, deadline=deadline)
-        )
-
-    def pairs(self, pairs, deadline=None):
-        return [normalize_pair(d, c)
-                for d, c in self.resilient.count_many(pairs, deadline=deadline)]
-
-    def single_source(self, s, deadline=None):
-        return normalize_single_source(
-            *self.resilient.single_source(s, deadline=deadline)
-        )
-
-    def set_to_set(self, sources, targets, deadline=None):
-        if not sources or not targets:
-            return (INF, 0)
-        return normalize_pair(
-            *self.resilient.set_to_set(sources, targets, deadline=deadline)
-        )
-
-    def pair_cost(self):
-        return 16.0 if self.resilient.status == "index" else float(
-            self.resilient.n
-        )
+        return method(*args)

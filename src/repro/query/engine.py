@@ -1,12 +1,11 @@
 """The query engine: validate, cache-check, plan, execute.
 
 :class:`QueryEngine` owns a set of execution backends (built from
-whatever the caller attaches — an index, a graph, a duck-typed oracle, a
-serving-tier resilient facade), a :class:`~repro.query.planner
-.QueryPlanner` over them, and a generation-keyed
-:class:`~repro.query.cache.ResultCache`. ``run(node)`` is the whole
-pipeline; ``compile(node)`` keeps the plan around for repeated
-execution; ``explain(node)`` shows the planner's choices.
+whatever the caller attaches — an index, a graph, a duck-typed oracle),
+a :class:`~repro.query.planner.QueryPlanner` over them, and a
+generation-keyed :class:`~repro.query.cache.ResultCache`. ``run(node)``
+is the whole pipeline; ``compile(node)`` keeps the plan around for
+repeated execution; ``explain(node)`` shows the planner's choices.
 
 Execution guarantees:
 
@@ -38,7 +37,6 @@ from repro.query.backends import (
     FlatBackend,
     MatrixBackend,
     OracleBackend,
-    ResilientBackend,
 )
 from repro.query.cache import ResultCache
 from repro.query.planner import (
@@ -116,16 +114,12 @@ class QueryEngine:
         backend (dropped automatically while ``index.stale``).
     oracle:
         Any duck-typed ``count_with_distance`` object; the engine the
-        ``applications/`` drivers run on.
-    resilient:
-        A :class:`~repro.resilience.ResilientSPCIndex`; used exclusively
-        when given (the facade already owns index-vs-BFS fallback).
+        ``applications/`` drivers and both serving tiers run on.
     n:
         Vertex count override for oracle-only engines that cannot infer
         it; queries are validated against it when known.
     generation:
-        Int or callable for the cache token. Defaults to the resilient
-        facade's generation when one is attached, else 0; bump it (or
+        Int or callable for the cache token (default 0); bump it (or
         assign ``engine.generation``) after mutating the underlying
         data in place.
     cache:
@@ -136,29 +130,23 @@ class QueryEngine:
         the planner's ``only``.
     """
 
-    def __init__(self, graph=None, index=None, oracle=None, resilient=None,
-                 n=None, bfs_engine="python", cache=True, generation=None,
+    def __init__(self, graph=None, index=None, oracle=None, n=None,
+                 bfs_engine="python", cache=True, generation=None,
                  backends=None, matrix_max=DEFAULT_MATRIX_MAX,
                  default_samples=DEFAULT_SAMPLES):
         self.graph = graph
         self.index = index
         self._backends = []
-        if resilient is not None:
-            self._backends.append(ResilientBackend(resilient))
-            if generation is None:
-                def generation():
-                    return resilient.generation
-        else:
-            if index is not None:
-                self._backends.append(FlatBackend(index))
-            if graph is not None:
-                self._backends.append(MatrixBackend(graph))
-                self._backends.append(BFSBackend(graph, engine=bfs_engine))
-            if oracle is not None:
-                self._backends.append(OracleBackend(oracle, n=n))
+        if index is not None:
+            self._backends.append(FlatBackend(index))
+        if graph is not None:
+            self._backends.append(MatrixBackend(graph))
+            self._backends.append(BFSBackend(graph, engine=bfs_engine))
+        if oracle is not None:
+            self._backends.append(OracleBackend(oracle, n=n))
         if not self._backends:
             raise ValueError(
-                "QueryEngine needs at least one of graph/index/oracle/resilient"
+                "QueryEngine needs at least one of graph/index/oracle"
             )
         self._generation = generation if generation is not None else 0
         if cache is True:

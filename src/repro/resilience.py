@@ -7,13 +7,18 @@ missing, truncated, bit-flipped, or built for yesterday's graph. A
 
 * **load + verify** — the index file is read through the checksummed v3
   loader and its stored graph fingerprint (n, m, degree hash) is checked
-  against the live graph; any failure is recorded and demotes the serving
-  path instead of crashing.
-* **serve** — healthy indexes answer through :class:`~repro.core.index
-  .SPCIndex` (including the vectorized flat engine for batches); degraded
-  state answers through the exact online
+  against the live graph (files without one fall back to a vertex-count
+  check); any failure is recorded and demotes the serving path instead
+  of crashing.
+* **serve** — every query goes through one routine,
+  :meth:`ResilientSPCIndex.serve`: a healthy index answers through
+  :class:`~repro.core.index.SPCIndex` (including the vectorized flat
+  engine for batches); a query-time index fault demotes it; a degraded
+  facade answers through the exact online
   :class:`~repro.baselines.bfs_counting.BFSCountingOracle` — slower but
-  always correct, never a wrong count.
+  always correct, never a wrong count. ``serve`` also names the path
+  that answered, so callers never infer it from the facade's state
+  after the fact.
 * **observe** — ``counters`` tallies index hits, fallback hits, load,
   verification and staleness failures, so operators can alarm on
   degradation; ``last_error`` keeps the typed reason; ``generation``
@@ -47,6 +52,7 @@ from repro.exceptions import (
 from repro.io.serialize import graph_fingerprint, load_labels_with_meta
 from repro.observability.events import get_event_log
 from repro.observability.metrics import get_registry
+from repro.query.backends import merge_min_count
 
 
 class ResilientSPCIndex:
@@ -67,10 +73,6 @@ class ResilientSPCIndex:
         Engine for the fallback oracle (``"python"`` or ``"csr"``).
     io_retries:
         Transient-``OSError`` re-reads attempted by the loader.
-    require_fingerprint:
-        When True, refuse to serve from index files that carry no graph
-        fingerprint (legacy v2 saves) instead of trusting a vertex-count
-        check.
     breaker:
         Optional :class:`~repro.serving.breaker.CircuitBreaker` guarding
         the BFS fallback path. When open, degraded queries raise
@@ -78,11 +80,10 @@ class ResilientSPCIndex:
     """
 
     def __init__(self, graph, index_path=None, index=None, bfs_engine="python",
-                 io_retries=1, require_fingerprint=False, breaker=None):
+                 io_retries=1, breaker=None):
         self._graph = graph
         self._path = index_path
         self._io_retries = io_retries
-        self._require_fingerprint = require_fingerprint
         self._oracle = BFSCountingOracle(graph, engine=bfs_engine)
         self._breaker = breaker
         self._index = None
@@ -167,11 +168,6 @@ class ResilientSPCIndex:
                 error = StaleIndexError(
                     live, meta.fingerprint, context=str(self._path)
                 )
-        elif self._require_fingerprint:
-            error = SerializationError(
-                f"{self._path}: index carries no graph fingerprint "
-                "(require_fingerprint=True)"
-            )
         elif labels.n != self._graph.n:
             error = StaleIndexError(
                 live, (labels.n, None, None), context=str(self._path)
@@ -295,51 +291,106 @@ class ResilientSPCIndex:
                 self._publish_state()
         get_event_log().emit("index.demoted", reason=type(exc).__name__)
 
-    def _count_fallback(self, index_hits):
-        with self._lock:
-            self._record("fallback_queries", index_hits)
+    def serve(self, op, *args, deadline=None):
+        """Answer query method ``op`` and name the path that answered it.
 
-    def _fallback_call(self, work, queries, deadline):
-        """Run degraded-path ``work()`` behind the breaker and deadline."""
-        if deadline is not None:
-            deadline.check()
-        if self._breaker is not None:
-            self._breaker.before_call()  # raises CircuitOpenError when open
-        try:
-            answer = work()
-        except DeadlineExceeded:
-            if self._breaker is not None:
-                self._breaker.record_failure()
-            raise
-        except (SerializationError, LabelingError):
-            if self._breaker is not None:
-                self._breaker.record_failure()
-            raise
-        if self._breaker is not None:
-            self._breaker.record_success()
-        self._count_fallback(queries)
-        return answer
-
-    def count_with_distance(self, s, t, deadline=None):
-        """``(sd(s,t), spc(s,t))`` — from the index, or BFS when degraded."""
-        self._check_vertex(s)
-        self._check_vertex(t)
+        The one labels-or-BFS routine behind :meth:`count_with_distance`,
+        :meth:`count_many`, :meth:`single_source` and :meth:`set_to_set`
+        (``op`` is one of those names, ``args`` its positional
+        arguments). It snapshots the served index and answers from the
+        labels; a query-time :class:`~repro.exceptions.SerializationError`
+        or :class:`~repro.exceptions.LabelingError` demotes that index,
+        and a degraded facade answers from the exact BFS oracle behind
+        the breaker and the deadline. Returns ``(answer, path)`` with
+        ``path`` ``"index"`` or ``"degraded"``: the path that produced
+        *this* answer, which a concurrent demotion or reload cannot
+        relabel afterwards.
+        """
+        from_labels, from_bfs, queries = self._WORK[op](
+            self, *args, deadline=deadline)
         index = self._snapshot_index()
         if index is not None:
             try:
-                answer = index.count_with_distance(s, t)
+                answer = from_labels(index)
             except (SerializationError, LabelingError) as exc:
-                # The loaded index misbehaved at query time: demote it and
-                # keep serving — the BFS answer below is exact.
+                # Keep serving: the BFS answer below is exact.
                 self._demote(index, exc)
             else:
                 with self._lock:
-                    self._record("index_queries")
-                return answer
-        return self._fallback_call(
-            lambda: self._oracle.count_with_distance(s, t, deadline=deadline),
-            1, deadline,
-        )
+                    self._record("index_queries", queries)
+                return answer, "index"
+        if deadline is not None:
+            deadline.check()
+        breaker = self._breaker
+        if breaker is not None:
+            breaker.before_call()  # raises CircuitOpenError when open
+        try:
+            answer = from_bfs(self._oracle)
+        except (DeadlineExceeded, SerializationError, LabelingError):
+            if breaker is not None:
+                breaker.record_failure()
+            raise
+        if breaker is not None:
+            breaker.record_success()
+        with self._lock:
+            self._record("fallback_queries", queries)
+        return answer, "degraded"
+
+    # Each _*_work method validates its arguments and returns ``(from_labels,
+    # from_bfs, queries)``: the call on a served index, the call on the BFS
+    # oracle, and how many queries the answer counts as.
+
+    def _pair_work(self, s, t, deadline):
+        self._check_vertex(s)
+        self._check_vertex(t)
+        return (lambda index: index.count_with_distance(s, t),
+                lambda oracle: oracle.count_with_distance(
+                    s, t, deadline=deadline),
+                1)
+
+    def _many_work(self, pairs, deadline):
+        pairs = list(pairs)
+        for s, t in pairs:
+            self._check_vertex(s)
+            self._check_vertex(t)
+        return (lambda index: index.count_many(pairs, deadline=deadline),
+                lambda oracle: [oracle.count_with_distance(s, t,
+                                                           deadline=deadline)
+                                for s, t in pairs],
+                len(pairs))
+
+    def _sweep_work(self, s, deadline):
+        self._check_vertex(s)
+        return (lambda index: index.single_source(s),
+                lambda oracle: oracle.single_source(s, deadline=deadline),
+                1)
+
+    def _set_work(self, sources, targets, deadline):
+        sources = [int(v) for v in sources]
+        targets = [int(v) for v in targets]
+        for v in sources + targets:
+            self._check_vertex(v)
+
+        def sweep(oracle):
+            answers = []
+            for s in sources:
+                dist, count = oracle.single_source(s, deadline=deadline)
+                answers.extend(zip(dist[targets].tolist(),
+                                   count[targets].tolist()))
+            return merge_min_count(answers)
+
+        return (lambda index: index.set_to_set(sources, targets), sweep, 1)
+
+    _WORK = {
+        "count_with_distance": _pair_work,
+        "count_many": _many_work,
+        "single_source": _sweep_work,
+        "set_to_set": _set_work,
+    }
+
+    def count_with_distance(self, s, t, deadline=None):
+        """``(sd(s,t), spc(s,t))`` — from the index, or BFS when degraded."""
+        return self.serve("count_with_distance", s, t, deadline=deadline)[0]
 
     def count(self, s, t, deadline=None):
         """``spc(s, t)``: the number of shortest paths (0 if disconnected)."""
@@ -351,28 +402,7 @@ class ResilientSPCIndex:
 
     def count_many(self, pairs, deadline=None):
         """Batched ``(sd, spc)`` tuples; vectorized when the index is healthy."""
-        pairs = list(pairs)
-        for s, t in pairs:
-            self._check_vertex(s)
-            self._check_vertex(t)
-        index = self._snapshot_index()
-        if index is not None:
-            try:
-                answers = index.count_many(pairs, deadline=deadline)
-            except DeadlineExceeded:
-                raise
-            except (SerializationError, LabelingError) as exc:
-                self._demote(index, exc)
-            else:
-                with self._lock:
-                    self._record("index_queries", len(pairs))
-                return answers
-
-        def sweep():
-            oracle = self._oracle.count_with_distance
-            return [oracle(s, t, deadline=deadline) for s, t in pairs]
-
-        return self._fallback_call(sweep, len(pairs), deadline)
+        return self.serve("count_many", pairs, deadline=deadline)[0]
 
     def single_source(self, s, deadline=None):
         """``(dist, count)`` numpy arrays from ``s`` over every vertex.
@@ -381,20 +411,7 @@ class ResilientSPCIndex:
         counting BFS when degraded — identical conventions either way
         (float64 ``inf`` distances, int64 counts, ``(0, 1)`` diagonal).
         """
-        self._check_vertex(s)
-        index = self._snapshot_index()
-        if index is not None:
-            try:
-                answer = index.single_source(s)
-            except (SerializationError, LabelingError) as exc:
-                self._demote(index, exc)
-            else:
-                with self._lock:
-                    self._record("index_queries")
-                return answer
-        return self._fallback_call(
-            lambda: self._oracle.single_source(s, deadline=deadline), 1, deadline,
-        )
+        return self.serve("single_source", s, deadline=deadline)[0]
 
     def set_to_set(self, sources, targets, deadline=None):
         """``(sd(S, T), spc(S, T))``: min distance over all pairs, counts
@@ -405,44 +422,8 @@ class ResilientSPCIndex:
         ``set_to_set``, so a shard pool that lost every worker can still
         answer exactly from the logical graph.
         """
-        sources = [int(v) for v in sources]
-        targets = [int(v) for v in targets]
-        for v in sources:
-            self._check_vertex(v)
-        for v in targets:
-            self._check_vertex(v)
-        if not sources or not targets:
-            return (float("inf"), 0)
-        index = self._snapshot_index()
-        if index is not None:
-            try:
-                answer = index.set_to_set(sources, targets)
-            except DeadlineExceeded:
-                raise
-            except (SerializationError, LabelingError) as exc:
-                self._demote(index, exc)
-            else:
-                with self._lock:
-                    self._record("index_queries")
-                return answer
-
-        def sweep():
-            best = float("inf")
-            sigma = 0
-            for s in sources:
-                dist, count = self._oracle.single_source(s, deadline=deadline)
-                d = dist[targets]
-                local = float(d.min())
-                if local == float("inf"):
-                    continue
-                local_sigma = int(count[targets][d == local].sum())
-                if local < best:
-                    best, sigma = local, local_sigma
-                elif local == best:
-                    sigma += local_sigma
-            return (best, sigma)
-
-        return self._fallback_call(sweep, len(sources), deadline)
+        return self.serve("set_to_set", sources, targets,
+                          deadline=deadline)[0]
 
     def __repr__(self):
         return (

@@ -88,8 +88,8 @@ from repro.exceptions import (
 from repro.io.flat_store import read_flat_meta
 from repro.observability.events import get_event_log
 from repro.observability.metrics import get_registry
-from repro.query.ast import PAIR_OPS, Batch, Count, SetToSet, SingleSource
-from repro.query.backends import normalize_pair, normalize_single_source
+from repro.query.ast import Count
+from repro.query.backends import merge_min_count
 from repro.query.engine import QueryEngine
 from repro.serving import protocol
 from repro.serving.admission import AdmissionQueue
@@ -560,12 +560,7 @@ class _SetToSetJob(_Job):
 
     def merge(self, payloads):
         """Global minimum distance; counts summed at that minimum."""
-        best = min(payloads[key][0] for key in payloads)
-        if best == INF:
-            return INF, 0
-        sigma = sum(payloads[key][1] for key in payloads
-                    if payloads[key][0] == best)
-        return best, sigma
+        return merge_min_count(payloads.values())
 
     def fallback(self, resilient):
         """Whole-set BFS answer when no worker is live."""
@@ -872,6 +867,9 @@ class ClusterService:
         self._inflight = {}
         self._next_batch_id = 0
         self._start_error = None
+        # _failed flips once, under _post_lock, right before the router's
+        # final inbox drain; every producer appends under the same lock.
+        self._post_lock = threading.Lock()
         self._failed = False
         self._ready = threading.Event()
         self._stop_now = False
@@ -1100,56 +1098,22 @@ class ClusterService:
     def submit_query(self, node, timeout=None):
         """Run a compiled query AST node against the cluster.
 
-        Operators the cluster serves natively map straight onto the
-        scatter-gather entry points — :class:`~repro.query.ast.Count` is
-        :meth:`submit`, a :class:`~repro.query.ast.Batch` of pair
-        operators is one :meth:`submit_many` round-trip, single-source
-        and set-to-set queries keep their sharded gathers. Everything
-        else (relevance, top-k betweenness, mixed batches) compiles
-        through a :class:`~repro.query.engine.QueryEngine` whose backend
-        issues cluster requests, so composite answers inherit the
-        cluster's shedding/deadline/breaker behaviour per sub-request.
-        Answers are normalised to the query layer's value conventions.
+        :class:`~repro.query.ast.Count` — the hot single-pair front door
+        — is :meth:`submit`. Every other node compiles through a
+        :class:`~repro.query.engine.QueryEngine` whose backend issues
+        cluster requests: a batch of pair operators is one
+        :meth:`submit_many` round-trip, single-source and set-to-set
+        queries keep their sharded gathers, and composite answers
+        inherit the cluster's shedding/deadline/breaker behaviour per
+        sub-request. The result keeps its sub-requests' statuses: peer
+        adoption stays ``SERVED_INDEX`` with ``degraded_shards``, only a
+        BFS-fallback sub-answer makes it ``SERVED_DEGRADED``, and its
+        ``generation`` is the lowest its sub-answers came from. Answers
+        are normalised to the query layer's value conventions.
         """
         deadline = self._deadline(timeout)
         if type(node) is Count:
             return self.submit(node.s, node.t, timeout=deadline)
-        if isinstance(node, PAIR_OPS):
-            result = self.submit(node.s, node.t, timeout=deadline)
-            if result.ok:
-                result.answer = node.from_pair(*normalize_pair(*result.answer))
-            return result
-        if isinstance(node, SingleSource):
-            result = self.single_source(node.s, timeout=deadline)
-            if result.ok:
-                result.answer = normalize_single_source(*result.answer)
-            return result
-        if isinstance(node, SetToSet):
-            result = self.set_to_set(list(node.sources), list(node.targets),
-                                     timeout=deadline)
-            if result.ok:
-                result.answer = normalize_pair(*result.answer)
-            return result
-        if isinstance(node, Batch) and all(
-                isinstance(child, PAIR_OPS) for child in node.queries):
-            pairs = [(child.s, child.t) for child in node.queries]
-            result = self.submit_many(pairs, timeout=deadline)
-            if result.ok:
-                result.answer = tuple(
-                    child.from_pair(*normalize_pair(*answer))
-                    for child, answer in zip(node.queries, result.answer)
-                )
-            return result
-        return self._submit_composite(node, deadline)
-
-    def _submit_composite(self, node, deadline):
-        """Compile a non-native node over a cluster-backed query engine.
-
-        Each backend call is a real cluster request (counted and defended
-        individually); the composite result degrades if any sub-request
-        was served degraded, and the first failed sub-request terminates
-        the composite with that sub-request's status.
-        """
         started = time.monotonic()
         adapter = _ClusterOracle(self, deadline)
         engine = QueryEngine(oracle=adapter, n=self.n, cache=None)
@@ -1158,11 +1122,11 @@ class ClusterService:
         except ReproError as exc:
             result = QueryResult(status_of(exc), error=exc)
         else:
-            status = SERVED_DEGRADED if adapter.degraded else SERVED_INDEX
-            result = QueryResult(status, answer=answer,
+            result = QueryResult(adapter.status, answer=answer,
                                  degraded_shards=adapter.degraded_shards)
         result.elapsed = time.monotonic() - started
-        result.generation = self.generation
+        result.generation = (self.generation if adapter.generation is None
+                             else adapter.generation)
         return result
 
     def _admit(self, vertices, build, timeout, invalid=None):
@@ -1190,11 +1154,14 @@ class ClusterService:
                     raise VertexError(v, self.n)
             deadline = self._deadline(timeout)
             self.breaker.before_call()
-            ordinal = self._admission.offer()
+            with self._post_lock:
+                if self._failed:  # the router's final drain already ran
+                    raise ReproError("cluster is closed")
+                ordinal = self._admission.offer()
+                self._inbox.append(build(future, deadline, started))
         except ReproError as exc:
             return self._reject(future, started, exc)
         self._observe_admission()
-        self._inbox.append(build(future, deadline, started))
         self._wake()
         if (self._reload_check_every
                 and ordinal % self._reload_check_every == 0):
@@ -1228,7 +1195,6 @@ class ClusterService:
             return False
         if not self._watcher.poll():
             return False
-        self._watcher.mark()
         self.reload()
         return True
 
@@ -1255,10 +1221,12 @@ class ClusterService:
             raise ValueError(f"no worker {worker_index} "
                              f"(cluster has {len(self._workers)})")
         future = Future()
-        if self._closed or self._closing:
-            future.set_result(False)
-            return future
-        self._inbox.append(("drain", (worker_index, bool(respawn), future)))
+        with self._post_lock:
+            if self._closed or self._closing or self._failed:
+                future.set_result(False)
+                return future
+            self._inbox.append(("drain", (worker_index, bool(respawn),
+                                          future)))
         self._wake()
         return future
 
@@ -1326,8 +1294,10 @@ class ClusterService:
         if not live:
             raise ReproError("no live workers")
         future = Future()
-        job = _StatsJob(future, live)
-        self._inbox.append(("job", job))
+        with self._post_lock:
+            if self._failed:
+                raise ReproError("cluster is closed")
+            self._inbox.append(("job", _StatsJob(future, live)))
         self._wake()
         return future.result(timeout=timeout)
 
@@ -1369,7 +1339,8 @@ class ClusterService:
             # Last resort: the router ignored the hard stop. Resolve the
             # leftover futures from here (terminal bookkeeping is
             # idempotent via the done flags) to keep the no-hang promise.
-            self._failed = True
+            with self._post_lock:
+                self._failed = True
             self._fail_everything(ReproError("cluster router wedged "
                                              "during close"))
         if self._executor is not None:
@@ -1470,7 +1441,11 @@ class ClusterService:
             try:
                 self._shutdown_workers()
             finally:
-                self._failed = True
+                # Under the lock producers post under: once _failed is
+                # set nothing new reaches the inbox, so the drain below
+                # is the last one any request needs.
+                with self._post_lock:
+                    self._failed = True
                 self._fail_everything(ReproError("cluster is closed"))
 
     def _drain_inbox(self):
@@ -2328,21 +2303,23 @@ def worker_entry(conn, path, generation, fault=None):
 
 
 class _ClusterOracle:
-    """Pair oracle over cluster requests, for composite compiled queries.
+    """One composite query's oracle over cluster requests.
 
     Each method issues a real (counted, admission-controlled) cluster
     request and unwraps its :class:`QueryResult`: a non-ok sub-request
-    re-raises its typed error so :meth:`ClusterService._submit_composite`
-    can map the whole composite onto that terminal status, and
-    degraded-but-exact sub-answers flip the ``degraded`` flag the
-    composite result reports.
+    re-raises its typed error so :meth:`ClusterService.submit_query` can
+    map the whole composite onto that terminal status. Ok sub-requests
+    fold into the composite's ``status`` (``SERVED_DEGRADED`` once any
+    sub-answer came from the BFS fallback), ``degraded_shards`` (peer
+    adoption) and ``generation`` (the lowest answering generation).
     """
 
     def __init__(self, cluster, deadline):
         self._cluster = cluster
         self._budget = deadline
-        self.degraded = False
+        self.status = SERVED_INDEX
         self.degraded_shards = ()
+        self.generation = None
 
     def _absorb(self, result):
         if not result.ok:
@@ -2351,11 +2328,13 @@ class _ClusterOracle:
             raise ReproError(
                 f"cluster sub-request failed with status {result.status!r}"
             )
-        if result.status == SERVED_DEGRADED or result.degraded_shards:
-            self.degraded = True
-            if result.degraded_shards:
-                merged = set(self.degraded_shards) | set(result.degraded_shards)
-                self.degraded_shards = tuple(sorted(merged))
+        if result.status == SERVED_DEGRADED:
+            self.status = SERVED_DEGRADED
+        if result.degraded_shards:
+            self.degraded_shards = tuple(sorted(
+                set(self.degraded_shards) | set(result.degraded_shards)))
+        if self.generation is None or result.generation < self.generation:
+            self.generation = result.generation
         return result.answer
 
     def count_with_distance(self, s, t, deadline=None):
@@ -2369,4 +2348,9 @@ class _ClusterOracle:
     def single_source(self, s, deadline=None):
         return self._absorb(
             self._cluster.single_source(s, timeout=self._budget)
+        )
+
+    def set_to_set(self, sources, targets, deadline=None):
+        return self._absorb(
+            self._cluster.set_to_set(sources, targets, timeout=self._budget)
         )

@@ -58,16 +58,12 @@ class IndexWatcher:
         return ident + (meta.fingerprint,)
 
     def poll(self):
-        """True when the file changed since the last ``poll``/``mark``."""
+        """True when the file changed since the last ``poll``."""
         current = self._signature()
         if current == self._last:
             return False
         self._last = current
         return True
-
-    def mark(self):
-        """Adopt the current on-disk state as the baseline (after a load)."""
-        self._last = self._signature()
 
     def __repr__(self):
         return f"IndexWatcher({self._path!r})"

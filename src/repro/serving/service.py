@@ -25,18 +25,23 @@ Every request passes through four defences:
    and swapped in atomically, bumping the observable ``generation``
    without dropping in-flight requests.
 
-:meth:`SPCService.submit` never raises for per-request failures: it maps
-every outcome onto a :class:`QueryResult` with a terminal ``status`` —
-``"index"``, ``"degraded"``, ``"shed"``, ``"circuit_open"``,
-``"deadline"``, ``"invalid"`` or ``"error"`` — which is what the chaos
-gate asserts over a 1000-query burst. :meth:`SPCService.query` is the
-raising variant for callers that prefer exceptions. ``health()`` and
+:meth:`SPCService.submit_query` is the one request path: it compiles any
+query AST node over the resilient facade and never raises for
+per-request failures, mapping every outcome onto a :class:`QueryResult`
+with a terminal ``status`` — ``"index"``, ``"degraded"``, ``"shed"``,
+``"circuit_open"``, ``"deadline"``, ``"invalid"`` or ``"error"`` — which
+is what the chaos gate asserts over a 1000-query burst. ``"degraded"``
+means at least one of the request's answers came from the BFS fallback,
+as reported by :meth:`~repro.resilience.ResilientSPCIndex.serve` at the
+time it answered. :meth:`SPCService.submit` is ``submit_query(Count(s,
+t))`` and :meth:`SPCService.query` its raising wrapper. ``health()`` and
 ``stats()`` expose generation counters, breaker state, admission depth
 and per-outcome tallies for operators.
 """
 
 import threading
 import time
+from functools import partialmethod
 
 from repro.exceptions import (
     CircuitOpenError,
@@ -51,7 +56,7 @@ from repro.observability.tracing import get_tracer
 from repro.query.ast import Count
 from repro.query.engine import QueryEngine
 from repro.resilience import ResilientSPCIndex
-from repro.serving.admission import DEFAULT_RETRY_AFTER_CAP, AdmissionQueue
+from repro.serving.admission import AdmissionQueue
 from repro.serving.breaker import CircuitBreaker
 from repro.serving.deadline import Deadline
 from repro.serving.reload import IndexWatcher
@@ -133,54 +138,36 @@ class SPCService:
     capacity:
         Maximum concurrently executing requests.
     queue_limit:
-        Maximum requests allowed to wait for a slot; more are shed.
-    retry_after_cap:
-        Ceiling (seconds) on the retry-after hint attached to shed
-        requests; ``None`` disables the clamp (see
-        :class:`~repro.serving.admission.AdmissionQueue`).
+        Maximum requests allowed to wait for a slot; more are shed with
+        a retry-after hint capped at
+        :data:`~repro.serving.admission.DEFAULT_RETRY_AFTER_CAP`.
     default_deadline:
         Per-request budget in seconds when the caller gives none
         (``None`` = unlimited).
-    breaker:
-        A :class:`CircuitBreaker` for the degraded path, or ``None`` to
-        build one from ``failure_threshold`` / ``reset_timeout``.
+    failure_threshold / reset_timeout:
+        The :class:`CircuitBreaker` over the degraded path.
     reload_check_every:
         Poll the index file for changes every N admissions (0 disables
         polling; ``check_reload()`` stays available).
-    bfs_engine / io_retries / require_fingerprint:
+    bfs_engine:
         Forwarded to the underlying resilient index.
-    clock:
-        Monotonic clock, injectable for deterministic tests.
     """
 
     def __init__(self, graph, index_path=None, index=None, *,
                  capacity=8, queue_limit=16, default_deadline=None,
-                 retry_after_cap=DEFAULT_RETRY_AFTER_CAP,
-                 breaker=None, failure_threshold=5, reset_timeout=1.0,
-                 reload_check_every=16, bfs_engine="python", io_retries=1,
-                 require_fingerprint=False, clock=time.monotonic):
+                 failure_threshold=5, reset_timeout=1.0,
+                 reload_check_every=16, bfs_engine="python"):
         if default_deadline is not None and default_deadline <= 0:
             raise ValueError("default_deadline must be positive or None")
-        self._clock = clock
-        self._admission = AdmissionQueue(capacity, queue_limit,
-                                         retry_after_cap=retry_after_cap,
-                                         clock=clock)
+        self._admission = AdmissionQueue(capacity, queue_limit)
         self.capacity = capacity
         self.queue_limit = queue_limit
         self.default_deadline = default_deadline
-        if breaker is None:
-            breaker = CircuitBreaker(failure_threshold=failure_threshold,
-                                     reset_timeout=reset_timeout, clock=clock)
         self._resilient = ResilientSPCIndex(
             graph, index_path=index_path, index=index, bfs_engine=bfs_engine,
-            io_retries=io_retries, require_fingerprint=require_fingerprint,
-            breaker=breaker,
+            breaker=CircuitBreaker(failure_threshold=failure_threshold,
+                                   reset_timeout=reset_timeout),
         )
-        # Compiled queries run over the resilient facade with the result
-        # cache OFF: the live graph can mutate in place under churn
-        # without bumping the generation, and a cached answer would
-        # outlive the data it was computed from.
-        self._query_engine = QueryEngine(resilient=self._resilient, cache=None)
         self._watcher = None if index_path is None else IndexWatcher(index_path)
         self._reload_check_every = reload_check_every
         self._reload_lock = threading.Lock()
@@ -286,91 +273,65 @@ class SPCService:
                 registry.counter("spc_request_outcomes_total",
                                  status=status).inc()
 
-    def _execute(self, work, deadline):
-        """Admission + deadline + execution; returns ``(answer, status)``."""
-        self._bump("requests")
-        self._admit(deadline)
-        started = self._clock()
-        try:
-            with get_tracer().span("serve.request"):
-                if deadline is not None:
-                    deadline.check()
-                answer = work(deadline)
-            status = (SERVED_INDEX if self._resilient.status == "index"
-                      else SERVED_DEGRADED)
-            self._bump(status)
-            return answer, status
-        finally:
-            self._release(self._clock() - started)
-
     def _deadline(self, timeout):
         budget = self.default_deadline if timeout is None else timeout
-        return Deadline.of(budget, clock=self._clock)
+        return Deadline.of(budget)
 
     def query(self, s, t, timeout=None):
-        """``(sd(s,t), spc(s,t))`` under the service's defences.
+        """Raising :meth:`submit`: ``(sd(s,t), spc(s,t))`` or the typed error.
 
         Raises the typed serving errors (:class:`ServiceOverloaded`,
         :class:`DeadlineExceeded`, :class:`CircuitOpenError`) and
         :class:`VertexError`; never returns a wrong count.
         """
-        deadline = self._deadline(timeout)
-        answer, _ = self._execute(
-            lambda d: self._resilient.count_with_distance(s, t, deadline=d),
-            deadline,
-        )
-        return answer
-
-    def query_many(self, pairs, timeout=None):
-        """Batched ``(sd, spc)`` tuples under one shared deadline budget."""
-        pairs = list(pairs)
-        deadline = self._deadline(timeout)
-        answer, _ = self._execute(
-            lambda d: self._resilient.count_many(pairs, deadline=d), deadline,
-        )
-        return answer
-
-    def single_source(self, s, timeout=None):
-        """``(dist, count)`` arrays from ``s`` under the service's defences."""
-        deadline = self._deadline(timeout)
-        answer, _ = self._execute(
-            lambda d: self._resilient.single_source(s, deadline=d), deadline,
-        )
-        return answer
+        result = self.submit(s, t, timeout=timeout)
+        if not result.ok:
+            raise result.error
+        return result.answer
 
     def submit(self, s, t, timeout=None):
-        """Non-raising :meth:`query`: always a terminal :class:`QueryResult`.
-
-        Per-request failures (shed, open circuit, blown deadline, invalid
-        vertex, typed library errors) become statuses; only genuine bugs
-        (non-:class:`ReproError` exceptions) propagate. Compiled as a
-        :class:`~repro.query.ast.Count` through :meth:`submit_query`.
-        """
+        """``submit_query(Count(s, t))``: always a terminal :class:`QueryResult`."""
         return self.submit_query(Count(s, t), timeout=timeout)
 
     def submit_query(self, node, timeout=None):
         """Run any compiled query AST node under the service's defences.
 
-        The node is planned and executed by the service's
+        The one request path. The node is planned and executed by a
         :class:`~repro.query.engine.QueryEngine` over the resilient
-        facade — the plan mirrors the live serving path (``flat`` while
-        an index generation is loaded, ``bfs`` once degraded) — inside
-        exactly the admission/deadline/breaker envelope of :meth:`submit`,
-        with the same terminal :class:`QueryResult` statuses.
+        facade inside the admission/deadline/breaker envelope. The
+        result is ``SERVED_DEGRADED`` when any of its answers came from
+        the BFS fallback, else ``SERVED_INDEX``. Per-request failures
+        (shed, open circuit, blown deadline, invalid vertex, typed
+        library errors) become statuses; only genuine bugs
+        (non-:class:`ReproError` exceptions) propagate.
         """
-        started = self._clock()
+        started = time.monotonic()
         deadline = self._deadline(timeout)
+        served = _ServedPaths(self._resilient)
+        self._bump("requests")
         try:
-            answer, status = self._execute(
-                lambda d: self._query_engine.run(node, deadline=d), deadline,
-            )
+            self._admit(deadline)
+            admitted = time.monotonic()
+            try:
+                with get_tracer().span("serve.request"):
+                    if deadline is not None:
+                        deadline.check()
+                    # Result cache OFF: the live graph can mutate in place
+                    # under churn without bumping the generation, and a
+                    # cached answer would outlive its data.
+                    engine = QueryEngine(oracle=served, n=served.n,
+                                         cache=None)
+                    answer = engine.run(node, deadline=deadline)
+            finally:
+                self._release(time.monotonic() - admitted)
         except ReproError as exc:
-            status = status_of(exc)
-            self._bump(status)
-            result = QueryResult(status, error=exc)
+            result = QueryResult(status_of(exc), error=exc)
         else:
-            result = QueryResult(status, answer=answer)
-        result.elapsed = self._clock() - started
+            result = QueryResult(
+                SERVED_DEGRADED if served.degraded else SERVED_INDEX,
+                answer=answer)
+        self._bump(result.status)
+        result.elapsed = time.monotonic() - started
         result.generation = self._resilient.generation
         return result
 
@@ -419,3 +380,29 @@ class SPCService:
             f"generation={self._resilient.generation}, "
             f"capacity={self.capacity})"
         )
+
+
+class _ServedPaths:
+    """One request's oracle over the resilient facade.
+
+    Every call goes through :meth:`ResilientSPCIndex.serve
+    <repro.resilience.ResilientSPCIndex.serve>`, which names the path
+    that answered it; ``degraded`` turns true once any answer came from
+    the BFS fallback.
+    """
+
+    def __init__(self, resilient):
+        self._resilient = resilient
+        self.n = resilient.n
+        self.degraded = False
+
+    def _serve(self, op, *args, deadline=None):
+        answer, path = self._resilient.serve(op, *args, deadline=deadline)
+        if path != SERVED_INDEX:
+            self.degraded = True
+        return answer
+
+    count_with_distance = partialmethod(_serve, "count_with_distance")
+    count_many = partialmethod(_serve, "count_many")
+    single_source = partialmethod(_serve, "single_source")
+    set_to_set = partialmethod(_serve, "set_to_set")

@@ -18,6 +18,7 @@ from repro.baselines.bfs_counting import spc_all_pairs
 from repro.core.index import SPCIndex
 from repro.generators.random_graphs import barabasi_albert_graph
 from repro.io.serialize import save_index
+from repro.query import Batch, Count, SingleSource
 from repro.resilience import ResilientSPCIndex
 from repro.serving import SPCService
 from repro.testing.faults import FlappingFile
@@ -139,12 +140,24 @@ def test_service_hot_reload_under_concurrent_load(tmp_path, graph, truth):
     service = SPCService(graph, index_path=index_path, capacity=THREADS,
                          queue_limit=THREADS, reload_check_every=1)
 
+    def run(node):
+        result = service.submit_query(node)
+        if not result.ok:
+            raise result.error
+        return result.answer
+
     class Facade:
-        """Adapt the raising service API to the hammer's index shape."""
+        """Adapt the service's request path to the hammer's index shape."""
 
         count_with_distance = staticmethod(service.query)
-        count_many = staticmethod(service.query_many)
-        single_source = staticmethod(service.single_source)
+
+        @staticmethod
+        def count_many(pairs):
+            return list(run(Batch(tuple(Count(s, t) for s, t in pairs))))
+
+        @staticmethod
+        def single_source(s):
+            return run(SingleSource(s))
 
     def churn():
         flapper = FlappingFile(index_path)

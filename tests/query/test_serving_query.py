@@ -7,6 +7,10 @@ routes native operators onto the scatter-gather entry points and
 compiles composite nodes (relevance, top-k) over cluster requests.
 """
 
+import os
+import signal
+import time
+
 import pytest
 
 from repro.core.index import SPCIndex
@@ -23,7 +27,14 @@ from repro.query import (
     SingleSource,
     TopKBetweenness,
 )
-from repro.serving import INVALID, SERVED_DEGRADED, SERVED_INDEX, SPCService
+from repro.serving import (
+    INVALID,
+    SERVED_DEGRADED,
+    SERVED_INDEX,
+    QueryResult,
+    SPCService,
+)
+from repro.serving.cluster import _ClusterOracle
 
 INF = float("inf")
 N = 60
@@ -136,3 +147,58 @@ class TestClusterSubmitQuery:
     def test_invalid_vertex(self, cluster):
         assert cluster.submit_query(Count(0, N)).status == INVALID
         assert cluster.submit_query(Relevance(0, (N,))).status == INVALID
+
+
+def _wait(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline and not predicate():
+        time.sleep(0.01)
+    return predicate()
+
+
+class TestClusterComposite:
+    def test_peer_adoption_keeps_index_status(self, graph, index, tmp_path):
+        from repro.serving import ClusterService
+
+        path = tmp_path / "labels.spcf"
+        save_flat_labels(index.to_flat(), path, encoding="raw")
+        with ClusterService(str(path), workers=2, shards=2, respawn=False,
+                            heartbeat_interval=0) as cluster:
+            # Shard 1 (vertices 30..59) loses its only worker; shard 0's
+            # worker adopts its traffic from the same arena.
+            os.kill(cluster._workers[1].process.pid, signal.SIGKILL)
+            assert _wait(lambda: not cluster.stats()["workers"][1]["alive"])
+            pair = cluster.submit_query(Count(45, 3))
+            ranked = cluster.submit_query(Relevance(45, (3, 9)))
+        assert (pair.status, pair.degraded_shards) == (SERVED_INDEX, (1,))
+        assert (ranked.status, ranked.degraded_shards) == (SERVED_INDEX,
+                                                           (1,))
+        expected = sorted(
+            ((v,) + index.count_with_distance(45, v) for v in (3, 9)),
+            key=lambda row: (row[1], -row[2], row[0]),
+        )
+        assert list(ranked.answer) == expected
+
+    def test_composite_folds_sub_request_outcomes(self):
+        replies = iter([
+            QueryResult(SERVED_INDEX, answer=(1, 1), generation=3,
+                        degraded_shards=(1,)),
+            QueryResult(SERVED_INDEX, answer=(2, 1), generation=2),
+            QueryResult(SERVED_DEGRADED, answer=(2, 2), generation=0,
+                        degraded_shards=(0,)),
+        ])
+
+        class Cluster:
+            def submit(self, s, t, timeout=None):
+                return next(replies)
+
+        adapter = _ClusterOracle(Cluster(), None)
+        adapter.count_with_distance(0, 1)
+        adapter.count_with_distance(0, 2)
+        # Peer adoption annotates; it does not degrade the status.
+        assert (adapter.status, adapter.degraded_shards,
+                adapter.generation) == (SERVED_INDEX, (1,), 2)
+        adapter.count_with_distance(0, 3)
+        # Only a BFS sub-answer degrades; generation is the minimum.
+        assert (adapter.status, adapter.degraded_shards,
+                adapter.generation) == (SERVED_DEGRADED, (0, 1), 0)

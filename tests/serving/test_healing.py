@@ -361,6 +361,22 @@ class TestCloseResolvesFutures:
         closer.join(timeout=30)
         assert not closer.is_alive()
 
+    def test_submit_racing_the_final_drain_resolves(self, arena):
+        # Force the interleaving: the producer passes the closed check,
+        # then the router runs its final drain and exits, then the
+        # producer posts. The future must still resolve.
+        service = ClusterService(arena, workers=1)
+        before_call = service.breaker.before_call
+
+        def close_in_between():
+            service.close()
+            before_call()
+
+        service.breaker.before_call = close_in_between
+        result = service.submit_nowait(0, 1).result(timeout=10)
+        assert result.status == ERROR
+        assert "closed" in str(result.error)
+
     def test_close_resolves_queued_work(self, arena):
         service = ClusterService(arena, workers=1, batch_window=5.0)
         futures = [service.submit_nowait(0, i) for i in range(8)]

@@ -53,13 +53,6 @@ class TestIndexWatcher:
         assert watcher.poll()
         assert not watcher.poll()
 
-    def test_mark_adopts_current_state(self, graph, index_path):
-        watcher = IndexWatcher(index_path)
-        save_index(SPCIndex.build(graph, ordering="betweenness"), index_path,
-                   graph=graph)
-        watcher.mark()
-        assert not watcher.poll()
-
     def test_missing_file_then_created(self, tmp_path, graph):
         path = tmp_path / "absent.spcl"
         watcher = IndexWatcher(path)

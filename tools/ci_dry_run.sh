@@ -5,7 +5,8 @@
 #   lint        ruff check . (falls back to tools/mini_lint.py when ruff is
 #               not installed) + the CHANGES.md non-empty gate
 #   tests       the tier-1 pytest suite with PYTHONPATH=src (current python
-#               only; CI runs the 3.10/3.11/3.12 matrix)
+#               only; CI runs the 3.10/3.11/3.12 matrix), then the benchmark
+#               harness's own tests (perfbench/tests)
 #   chaos-smoke tools/ci_chaos_smoke.py fault-injection gate (corrupt files,
 #               killed builds, crashing workers)
 #   serving-smoke tools/ci_serving_smoke.py SPCService gate (deadlines,
@@ -74,6 +75,7 @@ fi
 
 step "tests (python $(python -c 'import platform; print(platform.python_version())'))"
 python -m pytest -x -q || failures=$((failures + 1))
+python -m pytest perfbench/tests -q || failures=$((failures + 1))
 
 step "docs-check"
 python tools/gen_api_docs.py --check || failures=$((failures + 1))

@@ -242,7 +242,7 @@ def render_streaming(record):
     if streaming:
         config = streaming.get("config", {})
         lines += [
-            f"{_fmt(config.get('vertices'))}-vertex graph under "
+            f"{_fmt(config.get('n'))}-vertex graph under "
             f"{_fmt(config.get('duration'), '.0f')} s of mixed insert/delete "
             f"churn ({_fmt(config.get('churn_per_second'), '.0f')} "
             f"mutations/s, delete fraction "
