@@ -119,8 +119,8 @@ METRICS = (
     MetricSpec(
         "spc_cluster_batch_size", "histogram", (),
         "Pairs per PAIRS worker round-trip, bulk (submit_many) or "
-        "coalesced by the batch window — how much amortisation each "
-        "round-trip bought.",
+        "coalesced while the shard's workers were busy — how much "
+        "amortisation each round-trip bought.",
     ),
     MetricSpec(
         "spc_cluster_batches_total", "counter", ("shard",),

@@ -11,11 +11,14 @@ file-signature watching, and the same non-raising
 :class:`~repro.serving.service.QueryResult` surface.
 
 The router earns its throughput from *batching*, not just parallelism:
-pair requests destined for the same shard are coalesced (up to
-``max_batch``, waiting at most ``batch_window`` seconds) into one
+pair requests destined for the same shard are coalesced into one
 ``count_many`` round-trip, so the per-request cost amortises one IPC
 hop and one vectorized kernel over the whole batch instead of paying a
-python merge-join per query.
+python merge-join per query. Coalescing is work-conserving: a shard's
+buffered pairs (up to ``max_batch``) go out as soon as a worker that
+can serve the shard is idle, so a lone request never waits on a timer,
+and batches grow only from the pairs that arrive while the shard's
+workers are busy — under load they grow on their own.
 
 Every worker round-trip is one sub-request of a job. A scatter-gather
 call (``submit_many``, ``single_source``, ``set_to_set``, the stats
@@ -334,15 +337,13 @@ class _Flight:
 class _PairRequest:
     """One ``submit`` request waiting to be coalesced into a shard batch."""
 
-    __slots__ = ("s", "t", "deadline", "started", "enqueued", "future",
-                 "done")
+    __slots__ = ("s", "t", "deadline", "started", "future", "done")
 
     def __init__(self, s, t, deadline, started, future):
         self.s = s
         self.t = t
         self.deadline = deadline
         self.started = started
-        self.enqueued = started
         self.future = future
         # Terminal guard: the wedged-router last resort in close() can
         # race the router for the same request; only the first counts.
@@ -746,10 +747,12 @@ class ClusterService:
         shard gets ``workers // shards`` processes, remainder spread
         round-robin) and the :class:`~repro.serving.shards.ShardPlan`
         strategy (``"range"`` or ``"hash"``).
-    batch_window / max_batch:
-        Router-side coalescing: a shard batch is flushed when it holds
-        ``max_batch`` pair requests or its oldest member has waited
-        ``batch_window`` seconds.
+    max_batch:
+        Router-side coalescing: the pair requests buffered for a shard
+        are sent, up to ``max_batch`` per round-trip, as soon as a
+        worker that can serve the shard is idle. Nothing waits for a
+        batch to fill; batches form from the requests that arrive while
+        the shard's workers are busy.
     capacity / queue_limit:
         Admission control (see
         :class:`~repro.serving.admission.AdmissionQueue`); the router
@@ -800,8 +803,8 @@ class ClusterService:
     """
 
     def __init__(self, index_path, *, workers=2, shards=1, strategy="range",
-                 batch_window=0.002, max_batch=64, capacity=64,
-                 queue_limit=256, default_deadline=None, failure_threshold=5,
+                 max_batch=64, capacity=64, queue_limit=256,
+                 default_deadline=None, failure_threshold=5,
                  reset_timeout=1.0, reload_check_every=64, graph=None,
                  respawn=True, respawn_backoff=0.05, respawn_backoff_max=2.0,
                  heartbeat_interval=0.5, stall_timeout=2.0,
@@ -812,8 +815,6 @@ class ClusterService:
             raise ValueError(
                 f"shards must be in [1, workers], got {shards} "
                 f"(workers={workers})")
-        if batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if default_deadline is not None and default_deadline <= 0:
@@ -838,7 +839,6 @@ class ClusterService:
         self.n = meta.n
         self.plan = ShardPlan(meta.n, shards, strategy=strategy)
         self.max_batch = max_batch
-        self.batch_window = batch_window
         self.default_deadline = default_deadline
         self._admission = AdmissionQueue(capacity, queue_limit)
         self.breaker = CircuitBreaker(failure_threshold=failure_threshold,
@@ -1034,14 +1034,7 @@ class ClusterService:
         """
         pairs = list(pairs)
         if not pairs:
-            started = time.monotonic()
-            self._bump("requests")
-            future = Future()
-            self._bump(SERVED_INDEX)
-            future.set_result(QueryResult(
-                SERVED_INDEX, answer=[], elapsed=time.monotonic() - started,
-                generation=self.generation))
-            return future
+            return self._answer_now([])
         try:
             sources = np.fromiter((p[0] for p in pairs), dtype=np.int64,
                                   count=len(pairs))
@@ -1082,12 +1075,7 @@ class ClusterService:
         sources = [int(v) for v in sources]
         targets = [int(v) for v in targets]
         if not sources or not targets:
-            result = QueryResult(SERVED_INDEX, answer=(INF, 0),
-                                 generation=self.generation)
-            self._bump(SERVED_INDEX)
-            future = Future()
-            future.set_result(result)
-            return future.result()
+            return self._answer_now((INF, 0)).result()
         buckets = self.plan.split_targets(targets)
         return self._admit(
             sources + targets, lambda future, deadline, started: (
@@ -1140,15 +1128,13 @@ class ClusterService:
         """
         started = time.monotonic()
         future = Future()
-        self._bump("requests")
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.requests.inc()
+        self._count_request()
         try:
             if self._closed or self._closing or self._failed:
                 raise ReproError("cluster is closed")
             if invalid is not None:
-                return self._reject(future, started, invalid, INVALID)
+                return self._resolve_now(future, started, INVALID,
+                                         error=invalid)
             for v in vertices:
                 if not 0 <= v < self.n:
                     raise VertexError(v, self.n)
@@ -1160,7 +1146,8 @@ class ClusterService:
                 ordinal = self._admission.offer()
                 self._inbox.append(build(future, deadline, started))
         except ReproError as exc:
-            return self._reject(future, started, exc)
+            return self._resolve_now(future, started, status_of(exc),
+                                     error=exc)
         self._observe_admission()
         self._wake()
         if (self._reload_check_every
@@ -1174,15 +1161,29 @@ class ClusterService:
             timeout = self.default_deadline
         return Deadline.of(timeout)
 
-    def _reject(self, future, started, error, status=None):
-        """Resolve a request terminally before it reaches the router."""
-        if status is None:
-            status = status_of(error)
+    def _count_request(self):
+        """Count one request in the counters and the metrics."""
+        self._bump("requests")
+        metrics = self._metrics
+        if metrics is not None:
+            metrics.requests.inc()
+
+    def _answer_now(self, answer):
+        """A request whose answer needs no worker (an empty batch or
+        set), counted and resolved ``SERVED_INDEX`` like any other."""
+        started = time.monotonic()
+        self._count_request()
+        return self._resolve_now(Future(), started, SERVED_INDEX,
+                                 answer=answer)
+
+    def _resolve_now(self, future, started, status, answer=None, error=None):
+        """Resolve a counted request without the router; count its
+        outcome."""
         self._bump(status)
         metrics = self._metrics
         if metrics is not None:
             metrics.outcomes[status].inc()
-        future.set_result(QueryResult(status, error=error,
+        future.set_result(QueryResult(status, answer=answer, error=error,
                                       elapsed=time.monotonic() - started,
                                       generation=self.generation))
         return future
@@ -1403,15 +1404,12 @@ class ClusterService:
                 self._drain_inbox()
                 if self._stop_now:
                     break
-                now = time.monotonic()
-                self._check_health(now)
-                timer = self._dispatch()
+                self._check_health(time.monotonic())
+                self._dispatch()
                 self._maybe_hedge(time.monotonic())
                 if self._closing and self._quiescent():
                     break
-                health = self._health_timer(time.monotonic())
-                if health is not None:
-                    timer = health if timer is None else min(timer, health)
+                timer = self._health_timer(time.monotonic())
                 self._asleep = True
                 if self._inbox:
                     self._asleep = False
@@ -1455,7 +1453,6 @@ class ClusterService:
             except IndexError:  # pragma: no cover - racing producer
                 break
             if kind == "pair":
-                payload.enqueued = time.monotonic()
                 self._pending[self.plan.shard_of(payload.s)].append(payload)
             elif kind == "job":
                 self._enqueue(payload)
@@ -1517,19 +1514,19 @@ class ClusterService:
             if worker.pinned:
                 self._dispatch_sub(worker, *worker.pinned.popleft())
                 continue
-            work = self._next_work(worker.shard, now)
+            work = self._next_work(worker.shard)
             if work is not None:
                 self._dispatch_sub(worker, *work)
-        self._dispatch_peers(now)
+        self._dispatch_peers()
         self._route_stranded()
-        return self._next_timer(now)
 
-    def _next_work(self, shard, now):
-        """The shard's next ``(job, key)``: a queued sub first, else the
-        coalescing buffer sealed into a job once it is ready to flush."""
+    def _next_work(self, shard):
+        """The shard's next ``(job, key)`` for an idle worker: a queued
+        sub first, else whatever the coalescing buffer holds, sealed
+        into a job at once."""
         if self._subs[shard]:
             return self._subs[shard].popleft()
-        if self._batch_ready(shard, now):
+        if self._pending[shard]:
             return self._seal(shard), shard
         return None
 
@@ -1545,7 +1542,7 @@ class ClusterService:
         while self._pending[shard]:
             self._subs[shard].append((self._seal(shard), shard))
 
-    def _dispatch_peers(self, now):
+    def _dispatch_peers(self):
         """Idle workers adopt the queued work of shards with no serving
         worker. Every worker maps the full arena (sharding here is
         routing, not partitioning), so a peer's answer is exact; it is
@@ -1561,37 +1558,10 @@ class ClusterService:
             for shard in self.plan.peer_order(worker.shard):
                 if self._shard_serving(shard):
                     continue
-                work = self._next_work(shard, now)
+                work = self._next_work(shard)
                 if work is not None:
                     self._dispatch_sub(worker, *work)
                     break
-
-    def _batch_ready(self, shard, now):
-        pending = self._pending[shard]
-        if not pending:
-            return False
-        if self._closing or len(pending) >= self.max_batch:
-            return True
-        return now - pending[0].enqueued >= self.batch_window
-
-    def _next_timer(self, now):
-        """Earliest batch-window expiry, or None to block on events."""
-        timer = None
-        idle_any = any(w.state == IDLE and not w.draining
-                       for w in self._workers)
-        for shard, pending in enumerate(self._pending):
-            if not pending:
-                continue
-            has_idle = any(w.state == IDLE and not w.draining
-                           and w.shard == shard for w in self._workers)
-            if not has_idle:
-                # A down shard's window can still expire onto a peer.
-                if not (idle_any and not self._shard_serving(shard)):
-                    continue
-            wait = self.batch_window - (now - pending[0].enqueued)
-            wait = max(wait, 0.0)
-            timer = wait if timer is None else min(timer, wait)
-        return timer
 
     def _next_id(self):
         self._next_batch_id += 1

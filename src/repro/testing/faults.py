@@ -38,6 +38,10 @@ deterministic, so the chaos tests can assert the *exact* recovery path:
   replying (a torn pipe write): the router's frame decoder must treat
   the short read as *that worker's* death, replay its in-flight keys,
   and keep every other shard serving.
+* :class:`HeldReply` — a cluster worker held busy on one reply until
+  the test releases it: the requests that arrive meanwhile queue in the
+  router, so coalescing, shedding, drains and shutdown can be driven
+  without timing races.
 """
 
 import os
@@ -368,6 +372,51 @@ class TornPipeWrite:
             os.write(conn.fileno(), frame[:self.keep_bytes])
             os._exit(21)
         return False
+
+
+class HeldReply:
+    """Picklable cluster fault: hold one batch reply until released.
+
+    The first successful batch reply any incarnation of the worker is
+    about to send (claimed once through an exclusive marker file, the
+    :class:`StalledWorker` idiom) waits until :meth:`release` is called,
+    or ``timeout`` seconds pass. The worker stays busy in the router's
+    eyes for that whole time, so requests submitted meanwhile queue
+    behind it. :meth:`holding` tells the test the hold has begun. Every
+    later reply is passed to ``then``, another ``before_reply`` fault,
+    when one is given.
+    """
+
+    def __init__(self, marker_dir, then=None, timeout=30.0):
+        self.marker_dir = os.fspath(marker_dir)
+        self.then = then
+        self.timeout = timeout
+
+    def _marker(self, name):
+        return os.path.join(self.marker_dir, name)
+
+    def before_reply(self, conn, reply):
+        """Worker-side hook: hold the first reply; defer later ones."""
+        try:
+            os.close(os.open(self._marker("held"),
+                             os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            return self.then is not None and self.then.before_reply(conn,
+                                                                    reply)
+        give_up = time.monotonic() + self.timeout
+        while (not os.path.exists(self._marker("released"))
+               and time.monotonic() < give_up):
+            time.sleep(0.002)
+        return False
+
+    def holding(self):
+        """True once a worker has started holding its reply."""
+        return os.path.exists(self._marker("held"))
+
+    def release(self):
+        """Let the held reply go."""
+        with open(self._marker("released"), "w"):
+            pass
 
 
 class CrashingCheckpoint(BuildCheckpoint):

@@ -20,18 +20,23 @@ from repro.core.index import SPCIndex
 from repro.exceptions import SerializationError
 from repro.generators.random_graphs import barabasi_albert_graph
 from repro.io.flat_store import save_flat_labels
+from repro.observability.metrics import MetricsRegistry, scoped_registry
 from repro.serving import (
+    CIRCUIT_OPEN,
     DEADLINE,
     ERROR,
     INVALID,
+    SERVED_DEGRADED,
     SERVED_INDEX,
     SHED,
     ClusterService,
     protocol,
 )
+from repro.testing.faults import HeldReply
 from repro.utils.rng import random_pairs
 
 N = 240
+INF = float("inf")
 
 
 class SlowReply:
@@ -56,6 +61,24 @@ class ErrReply:
         return True
 
 
+def _wait(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.005)
+    return predicate()
+
+
+def hold_busy(service, fault):
+    """Occupy the cluster's only worker with a reply that waits for
+    ``fault.release()``; returns that request's future. Requests
+    submitted until the release queue behind it in the router."""
+    blocker = service.submit_nowait(0, 1)
+    assert _wait(fault.holding), "worker never started holding its reply"
+    return blocker
+
+
 @pytest.fixture(scope="module")
 def graph():
     return barabasi_albert_graph(N, 3, seed=17)
@@ -75,8 +98,7 @@ def arena(flat, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def cluster(arena):
-    with ClusterService(arena, workers=2, shards=2,
-                        batch_window=0.001) as service:
+    with ClusterService(arena, workers=2, shards=2) as service:
         yield service
 
 
@@ -96,28 +118,50 @@ class TestPairServing:
         assert tuple(result.answer) == tuple(count_many(flat, [(1, 2)])[0])
         assert result.elapsed >= 0
 
-    def test_batching_actually_coalesces(self, arena, flat):
-        with ClusterService(arena, workers=1, batch_window=0.05,
-                            max_batch=128) as service:
-            pairs = list(random_pairs(N, 64, rng=5))
-            futures = [service.submit_nowait(s, t) for s, t in pairs]
-            for future in futures:
-                assert future.result(timeout=30).ok
-            stats = service.stats()
-            # 64 requests in far fewer round-trips than 64.
-            assert stats["counters"]["batches"] < 16
+    def test_lone_request_does_not_wait(self, arena):
+        # An idle worker takes a lone pair at once: no timer holds it.
+        with ClusterService(arena, workers=1) as service:
+            assert service.submit(0, 1).ok  # fault the arena in
+            elapsed = []
+            for i in range(50):
+                result = service.submit(i % N, (i * 7 + 3) % N)
+                assert result.status == SERVED_INDEX, result.error
+                elapsed.append(result.elapsed)
+            assert sorted(elapsed)[len(elapsed) // 2] < 0.002
+            assert service.stats()["counters"]["batches"] == 51
 
-    def test_coalesced_batch_keeps_member_deadlines(self, arena, flat):
+    def test_batching_actually_coalesces(self, arena, flat, tmp_path):
+        # Pairs that arrive while the only worker is busy all go out in
+        # exactly one more round-trip once it frees up.
+        fault = HeldReply(tmp_path)
+        pairs = list(random_pairs(N, 64, rng=5))
+        with ClusterService(arena, workers=1, max_batch=128,
+                            _fault=fault) as service:
+            blocker = hold_busy(service, fault)
+            futures = [service.submit_nowait(s, t) for s, t in pairs]
+            fault.release()
+            assert blocker.result(timeout=30).status == SERVED_INDEX
+            for future, want in zip(futures, count_many(flat, pairs)):
+                result = future.result(timeout=30)
+                assert result.status == SERVED_INDEX, result.error
+                assert tuple(result.answer) == tuple(want)
+            assert service.stats()["counters"]["batches"] == 2
+
+    def test_coalesced_batch_keeps_member_deadlines(self, arena, flat,
+                                                    tmp_path):
         # One coalesced round-trip whose reply lands after the short
         # budgets ran out but well inside the long ones.
         pairs = list(random_pairs(N, 8, rng=21))
         budgets = [0.2 if i % 2 else 30.0 for i in range(len(pairs))]
-        with ClusterService(arena, workers=1, batch_window=0.05,
-                            _fault=SlowReply(0.5)) as service:
+        fault = HeldReply(tmp_path, then=SlowReply(0.5))
+        with ClusterService(arena, workers=1, _fault=fault) as service:
+            blocker = hold_busy(service, fault)
             futures = [service.submit_nowait(s, t, timeout=budget)
                        for (s, t), budget in zip(pairs, budgets)]
+            fault.release()
             results = [f.result(timeout=30) for f in futures]
-            assert service.stats()["counters"]["batches"] == 1
+            assert blocker.result(timeout=30).status == SERVED_INDEX
+            assert service.stats()["counters"]["batches"] == 2
         for result, budget, want in zip(results, budgets,
                                         count_many(flat, pairs)):
             if budget < 1:
@@ -133,15 +177,18 @@ class TestPairServing:
         (protocol.ERR_ERROR, ERROR),
     ])
     def test_err_reply_reaches_every_coalesced_member(self, arena, kind,
-                                                      status):
+                                                      status, tmp_path):
         budgets = [5.0 + i for i in range(6)]
-        with ClusterService(arena, workers=1, batch_window=0.05,
-                            _fault=ErrReply(kind)) as service:
+        fault = HeldReply(tmp_path, then=ErrReply(kind))
+        with ClusterService(arena, workers=1, _fault=fault) as service:
+            blocker = hold_busy(service, fault)
             futures = [service.submit_nowait(0, i + 1, timeout=budget)
                        for i, budget in enumerate(budgets)]
+            fault.release()
             results = [f.result(timeout=30) for f in futures]
+            assert blocker.result(timeout=30).status == SERVED_INDEX
             counters = service.stats()["counters"]
-            assert counters["batches"] == 1
+            assert counters["batches"] == 2
             assert counters[status] == len(budgets)
             assert service.stats()["admission"]["in_flight"] == 0
         for result, budget in zip(results, budgets):
@@ -160,12 +207,18 @@ class TestPairServing:
         assert result.status == DEADLINE
         assert result.error.budget == 1e-9
 
-    def test_shedding_past_admission_bounds(self, arena):
+    def test_shedding_past_admission_bounds(self, arena, tmp_path):
+        # The held request takes one of the two admission slots, the
+        # first of the burst the other; the remaining 29 are shed.
+        fault = HeldReply(tmp_path)
         with ClusterService(arena, workers=1, capacity=1, queue_limit=1,
-                            batch_window=0.2) as service:
+                            _fault=fault) as service:
+            blocker = hold_busy(service, fault)
             futures = [service.submit_nowait(0, i % N) for i in range(30)]
-            statuses = {f.result(timeout=30).status for f in futures}
-            assert SHED in statuses
+            fault.release()
+            statuses = [f.result(timeout=30).status for f in futures]
+            assert blocker.result(timeout=30).status == SERVED_INDEX
+            assert statuses == [SERVED_INDEX] + [SHED] * 29
             shed = [f.result() for f in futures
                     if f.result().status == SHED]
             assert all(r.error.retry_after <= 5.0 for r in shed)
@@ -237,6 +290,28 @@ class TestScatterGather:
         assert result.ok
         assert result.answer == (float("inf"), 0)
 
+    def test_immediate_answers_count_as_requests(self, arena):
+        # Empty batches and sets never reach a worker, but each is still
+        # one request with one outcome, in the counters and the metrics.
+        terminal = (SERVED_INDEX, SERVED_DEGRADED, SHED, CIRCUIT_OPEN,
+                    DEADLINE, INVALID, ERROR)
+        with scoped_registry(MetricsRegistry()) as registry:
+            with ClusterService(arena, workers=1) as service:
+                assert service.set_to_set([], [5]).answer == (INF, 0)
+                assert service.submit_many([]).answer == []
+                counters = service.stats()["counters"]
+            requests = registry.get("spc_cluster_requests_total").value
+            outcomes = {
+                status: registry.get("spc_cluster_request_outcomes_total",
+                                     status=status).value
+                for status in terminal
+            }
+        assert counters["requests"] == 2
+        assert sum(counters[status] for status in terminal) == 2
+        assert counters[SERVED_INDEX] == 2
+        assert requests == 2
+        assert outcomes[SERVED_INDEX] == sum(outcomes.values()) == 2
+
     def test_gather_validates_vertices(self, cluster):
         result = cluster.set_to_set([0], [N + 1])
         assert result.status == INVALID
@@ -275,16 +350,21 @@ class TestLifecycleAndFailure:
         result = service.submit(0, 1)
         assert result.status == ERROR
 
-    def test_worker_death_fails_inflight_without_respawn(self, arena):
+    def test_worker_death_fails_inflight_without_respawn(self, arena,
+                                                         tmp_path):
         # respawn=False restores the pre-supervision fail-fast contract:
-        # death permanently removes the worker and fails its work.
-        with ClusterService(arena, workers=1, batch_window=0.2,
-                            failure_threshold=1, respawn=False,
-                            heartbeat_interval=0) as service:
+        # death permanently removes the worker and fails its work, both
+        # the held request in flight and the four queued behind it.
+        fault = HeldReply(tmp_path)
+        with ClusterService(arena, workers=1, failure_threshold=1,
+                            respawn=False, heartbeat_interval=0,
+                            _fault=fault) as service:
             worker = service._workers[0]
+            blocker = hold_busy(service, fault)
             futures = [service.submit_nowait(0, i) for i in range(4)]
             worker.process.terminate()
-            statuses = [f.result(timeout=30).status for f in futures]
+            statuses = [f.result(timeout=30).status
+                        for f in [blocker] + futures]
             assert set(statuses) == {ERROR}
             deadline = time.monotonic() + 5
             while (time.monotonic() < deadline
@@ -292,15 +372,19 @@ class TestLifecycleAndFailure:
                 time.sleep(0.01)
             assert service.stats()["counters"]["worker_failures"] == 1
 
-    def test_worker_death_heals_and_replays_by_default(self, arena):
+    def test_worker_death_heals_and_replays_by_default(self, arena,
+                                                       tmp_path):
         # The supervisor respawns the worker and replays its in-flight
         # keys, so the same scenario now resolves every future exactly.
-        with ClusterService(arena, workers=1, batch_window=0.2,
-                            respawn_backoff=0.05) as service:
+        # The hold fires once, so the respawned worker replies at once.
+        fault = HeldReply(tmp_path)
+        with ClusterService(arena, workers=1, respawn_backoff=0.05,
+                            _fault=fault) as service:
             worker = service._workers[0]
+            blocker = hold_busy(service, fault)
             futures = [service.submit_nowait(0, i) for i in range(4)]
             worker.process.terminate()
-            results = [f.result(timeout=30) for f in futures]
+            results = [f.result(timeout=30) for f in [blocker] + futures]
             assert all(r.status == SERVED_INDEX for r in results)
             stats = service.stats()
             assert stats["counters"]["worker_failures"] >= 1

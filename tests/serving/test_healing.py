@@ -30,7 +30,7 @@ from repro.serving import (
     ClusterService,
 )
 from repro.serving.cluster import HEDGE_FLOOR, _Job
-from repro.testing.faults import StalledWorker, TornPipeWrite
+from repro.testing.faults import HeldReply, StalledWorker, TornPipeWrite
 from repro.utils.rng import random_pairs
 
 N = 240
@@ -299,17 +299,29 @@ class TestDrains:
             # The surviving worker still serves the shard.
             assert service.submit(0, 1).status == SERVED_INDEX
 
-    def test_drain_flushes_inflight_first(self, arena, flat):
+    def test_drain_flushes_inflight_first(self, arena, flat, tmp_path):
+        # The drain arrives while the worker holds a reply in flight and
+        # 16 pairs queue behind it: the held reply is answered before the
+        # process is swapped, and the replacement serves the queue.
         pairs = list(random_pairs(N, 16, rng=13))
         oracle = count_many(flat, pairs)
-        with ClusterService(arena, workers=1, batch_window=0.05) as service:
+        fault = HeldReply(tmp_path)
+        with ClusterService(arena, workers=1, _fault=fault) as service:
+            old_pid = service.stats()["workers"][0]["pid"]
+            blocker = service.submit_nowait(0, 1)
+            assert _wait(fault.holding)
             futures = [service.submit_nowait(s, t) for s, t in pairs]
             drained = service.drain(0)
+            fault.release()
+            assert blocker.result(timeout=30).status == SERVED_INDEX
             for future, want in zip(futures, oracle):
                 result = future.result(timeout=30)
                 assert result.status == SERVED_INDEX, result.error
                 assert result.answer == want
             assert drained.result(timeout=30) is True
+            stats = service.stats()
+            assert stats["workers"][0]["pid"] != old_pid
+            assert stats["counters"]["replays"] == 0
 
     def test_rolling_restart_replaces_every_worker(self, arena):
         with ClusterService(arena, workers=2, shards=2) as service:
@@ -377,13 +389,21 @@ class TestCloseResolvesFutures:
         assert result.status == ERROR
         assert "closed" in str(result.error)
 
-    def test_close_resolves_queued_work(self, arena):
-        service = ClusterService(arena, workers=1, batch_window=5.0)
+    def test_close_resolves_queued_work(self, arena, tmp_path):
+        # close() starts while eight pairs queue behind a held reply;
+        # the reply is let go only afterwards. Closing must still send
+        # the queue and answer all of it.
+        fault = HeldReply(tmp_path)
+        service = ClusterService(arena, workers=1, _fault=fault)
+        blocker = service.submit_nowait(0, 1)
+        assert _wait(fault.holding)
         futures = [service.submit_nowait(0, i) for i in range(8)]
+        releaser = threading.Timer(0.2, fault.release)
+        releaser.start()
         service.close()
-        # batch_window alone must not strand them: closing flushes.
-        statuses = {f.result(timeout=10).status for f in futures}
-        assert statuses <= {SERVED_INDEX, ERROR}
+        releaser.join()
+        statuses = {f.result(timeout=10).status for f in [blocker] + futures}
+        assert statuses == {SERVED_INDEX}
 
 
 class TestBreakerRecovery:

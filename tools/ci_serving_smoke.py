@@ -26,7 +26,10 @@ single-process QPS on the same box with the same deadline config (the
 win comes from coalescing pair requests into vectorized ``count_many``
 batches, amortising IPC and the per-request python merge join), and
 every worker must prove the label arena is mapped shared, not copied
-(``Private_Dirty == 0`` for the index mapping in ``/proc``).
+(``Private_Dirty == 0`` for the index mapping in ``/proc``). The tier
+also records, ungated, the single process batching the cluster's own
+windows through ``submit_query(Batch)``, so the report shows what the
+cluster buys over in-process batching too.
 
 A third tier, ``--tier resilience``, points the self-healing layer at
 live process faults: while closed-loop drivers hammer the cluster, a
@@ -120,14 +123,20 @@ def run_sustained(args):
     """Fixed-duration throughput duel: cluster vs single-process service.
 
     Closed-loop threads drive :class:`SPCService` (one python merge join
-    per request) for ``--duration`` seconds; then an open-loop windowed
-    driver pushes ``submit_nowait`` futures through the cluster router.
-    Gates: >= 5x QPS, shared (not duplicated) arena pages per worker.
+    per request) for ``--duration`` seconds; then one caller times the
+    same service's batched front door, ``submit_query(Batch(...))``,
+    over the windows the cluster gets; then an open-loop windowed driver
+    pushes ``submit_many_nowait`` windows through the cluster router.
+    Gates: >= 5x QPS over the per-request baseline, shared (not
+    duplicated) arena pages per worker. The batched baseline is
+    recorded, not gated: it shows what the cluster buys over one
+    process that batches too.
     """
     from repro.core.index import SPCIndex
     from repro.generators.random_graphs import gnp_random_graph
     from repro.io.flat_store import load_flat_labels, save_flat_labels
     from repro.kernels.hub_push import build_flat_labels_csr
+    from repro.query import Batch, Count
     from repro.serving import SERVED_INDEX, SPCService
     from repro.serving.cluster import ClusterService
 
@@ -217,6 +226,44 @@ def run_sustained(args):
     del service
     gc.collect()
 
+    # -- single-process batched baseline: the same windows in-process ----
+    # A fresh, never-thawed index, so the Batch runs on the flat columns
+    # through the vectorized kernel, like each cluster worker does.
+    window = 2048
+    windows = [[pairs[(i + k) % len(pairs)] for k in range(window)]
+               for i in range(0, len(pairs), window)]
+    service = SPCService(graph, index=SPCIndex.from_flat(flat),
+                         default_deadline=deadline, reload_check_every=0)
+    nodes = [Batch(tuple(Count(s, t) for s, t in batch)) for batch in windows]
+    first_answers = service.submit_query(nodes[0]).answer
+    gc.collect()
+    batched_latencies = []
+    batched_served = 0
+    stop_at = time.perf_counter() + args.duration
+    started = time.perf_counter()
+    i = 0
+    while time.perf_counter() < stop_at:
+        result = service.submit_query(nodes[i % len(nodes)])
+        i += 1
+        batched_latencies.append(result.elapsed)
+        if result.status == SERVED_INDEX:
+            batched_served += len(result.answer)
+    batched_seconds = time.perf_counter() - started
+    batched_qps = batched_served / batched_seconds
+    check(batched_served > 0, "sustained: single-process batched baseline "
+          f"served {batched_served} requests")
+    section["batched"] = {
+        "qps": batched_qps, "served": batched_served,
+        "seconds": batched_seconds, "window": window,
+        "p50_ms": percentile(batched_latencies, 0.50) * 1e3,
+        "p95_ms": percentile(batched_latencies, 0.95) * 1e3,
+        "p99_ms": percentile(batched_latencies, 0.99) * 1e3,
+    }
+    print(f"single-process batched: {batched_qps:,.0f} qps "
+          f"(p99 {section['batched']['p99_ms']:.2f} ms per window)")
+    del service, nodes
+    gc.collect()
+
     # -- multiprocess cluster: batched round-trips over the shared arena --
     with tempfile.TemporaryDirectory() as scratch:
         arena = arena_cache or os.path.join(scratch, "labels.spcf")
@@ -224,20 +271,20 @@ def run_sustained(args):
             save_flat_labels(flat, arena, encoding="raw")
         with ClusterService(
             arena, workers=args.workers, shards=args.shards,
-            batch_window=args.batch_window_ms / 1000.0, max_batch=256,
-            capacity=1024, queue_limit=4096, default_deadline=deadline,
+            max_batch=256, capacity=1024, queue_limit=4096,
+            default_deadline=deadline,
             reload_check_every=0,
         ) as cluster:
             # Warm up before the clock starts: the first windows fault the
             # whole arena into the workers' page tables, which is deploy
             # cost, not sustained throughput.
             cluster.submit_many(pairs[:1024], timeout=60)
+            cluster_first = cluster.submit_many(windows[0], timeout=60).answer
             gc.collect()
             # Open-loop double buffering through the bulk front door: one
             # window is always in flight while the previous one drains,
             # so the workers never sit idle between rounds. Latency
             # samples are per *window* (the unit a bulk caller waits on).
-            window = 2048
             stop_at = time.perf_counter() + args.duration
             cluster_latencies = []
             cluster_served = 0
@@ -253,9 +300,9 @@ def run_sustained(args):
                     cluster_served += len(result.answer)
 
             while time.perf_counter() < stop_at:
-                batch = [pairs[(i + k) % len(pairs)] for k in range(window)]
-                i += window
-                upcoming = cluster.submit_many_nowait(batch)
+                upcoming = cluster.submit_many_nowait(
+                    windows[i % len(windows)])
+                i += 1
                 if inflight is not None:
                     drain(inflight)
                 inflight = upcoming
@@ -269,13 +316,13 @@ def run_sustained(args):
             "qps": cluster_qps, "served": cluster_served,
             "seconds": cluster_seconds, "workers": args.workers,
             "shards": args.shards,
-            "batch_window_ms": args.batch_window_ms,
             "window": window,
             "p50_ms": percentile(cluster_latencies, 0.50) * 1e3,
             "p95_ms": percentile(cluster_latencies, 0.95) * 1e3,
             "p99_ms": percentile(cluster_latencies, 0.99) * 1e3,
             "batches": stats["counters"]["batches"],
             "speedup": cluster_qps / single_qps,
+            "speedup_vs_batched": cluster_qps / batched_qps,
             "worker_memory": [
                 {"pid": w["pid"], "rss_kb": w["rss_kb"],
                  "arena_rss_kb": w["map_rss_kb"],
@@ -287,7 +334,12 @@ def run_sustained(args):
         print(f"cluster: {cluster_qps:,.0f} qps "
               f"(p99 {section['cluster']['p99_ms']:.2f} ms, "
               f"{stats['counters']['batches']} batches, "
-              f"speedup {cluster_qps / single_qps:.1f}x)")
+              f"speedup {cluster_qps / single_qps:.1f}x, "
+              f"{cluster_qps / batched_qps:.2f}x the batched baseline)")
+        check([tuple(a) for a in cluster_first]
+              == [tuple(a) for a in first_answers],
+              "sustained: cluster and in-process batched answers agree "
+              "on the first window")
         check(cluster_served > 0, "sustained: cluster served "
               f"{cluster_served} requests")
         check(cluster_qps >= args.speedup_floor * single_qps,
@@ -340,8 +392,8 @@ def run_resilience(args):
         save_flat_labels(flat, arena, encoding="raw")
         with ClusterService(
             arena, workers=4, shards=2, graph=graph,
-            batch_window=0.002, max_batch=128, capacity=512,
-            queue_limit=2048, default_deadline=deadline,
+            max_batch=128, capacity=512, queue_limit=2048,
+            default_deadline=deadline,
             respawn_backoff=0.1, heartbeat_interval=0.25,
             stall_timeout=1.0, hedge_delay=0.05, reload_check_every=0,
         ) as cluster:
@@ -497,8 +549,6 @@ def main(argv=None):
                         help="cluster worker processes (sustained tier)")
     parser.add_argument("--shards", type=int, default=2,
                         help="cluster shards (sustained tier)")
-    parser.add_argument("--batch-window-ms", type=float, default=2.0,
-                        help="router batch window (sustained tier)")
     parser.add_argument("--speedup-floor", type=float, default=5.0,
                         help="minimum cluster/single QPS ratio (sustained)")
     parser.add_argument("--availability-floor", type=float, default=0.99,

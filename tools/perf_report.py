@@ -166,6 +166,7 @@ def render_serving(record):
     sustained = record.get("sustained", {})
     if sustained:
         single = sustained.get("single", {})
+        batched = sustained.get("batched", {})
         cluster = sustained.get("cluster", {})
         memory = cluster.get("worker_memory", [])
         dirty = max((w.get("arena_private_dirty_kb", 0) for w in memory),
@@ -187,6 +188,16 @@ def render_serving(record):
             f"{_fmt(single.get('p50_ms'), '.2f')} ms | "
             f"{_fmt(single.get('p95_ms'), '.2f')} ms | "
             f"{_fmt(single.get('p99_ms'), '.2f')} ms |",
+        ]
+        if batched:
+            lines.append(
+                f"| single process, batched (`submit_query(Batch)`, "
+                f"{_fmt(batched.get('window'))}-pair windows) | "
+                f"{_fmt(batched.get('qps'), ',.0f')} | "
+                f"{_fmt(batched.get('p50_ms'), '.2f')} ms | "
+                f"{_fmt(batched.get('p95_ms'), '.2f')} ms | "
+                f"{_fmt(batched.get('p99_ms'), '.2f')} ms |")
+        lines += [
             f"| cluster ({_fmt(cluster.get('workers'))} workers, "
             f"{_fmt(cluster.get('shards'))} shards) | "
             f"{_fmt(cluster.get('qps'), ',.0f')} | "
@@ -200,6 +211,15 @@ def render_serving(record):
             f"maps the label arena copy-on-read shared "
             f"(max Private_Dirty {_fmt(dirty)} kB).",
         ]
+        if batched:
+            lines += [
+                "",
+                f"Like for like, against one process batching the same "
+                f"windows, the cluster delivers "
+                f"{_fmt(cluster.get('speedup_vs_batched'), '.2f')}x. "
+                f"Latency is per request for the per-request row and per "
+                f"window for the batched and cluster rows.",
+            ]
     resilience = record.get("resilience", {})
     if resilience:
         tally = resilience.get("tally", {})
